@@ -48,8 +48,12 @@
 //! `Λ + 1` level contributions over one shared arena scratch — a pool
 //! lane and span table per level inside a single structure, `O(Λ)`
 //! buffers total instead of the owned path's `Θ(Λ·n)` per-vertex maps —
-//! with the same frontier-sized carry-over diff as
-//! [`crate::oracle::oracle_run_with_schedule`].
+//! with the same schedules as
+//! [`crate::oracle::oracle_run_with_schedule`]: a level that reached
+//! its fixpoint carries its closure into the next round and folds in
+//! only the changed `x`-slots; a hop-limited level falls back to the
+//! frontier-sized projection diff (the `crate::oracle` module docs hold
+//! the proof that both are bit-identical to the restart).
 
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
 use crate::error::{RunError, RunReport};
@@ -609,6 +613,7 @@ struct ArenaLevel {
     engine: ArenaEngine,
     store: EpochStore,
     primed: bool,
+    closed: bool,
     moved: Vec<NodeId>,
     moved_all: bool,
     seeds: Vec<NodeId>,
@@ -622,6 +627,7 @@ impl ArenaLevel {
             engine,
             store: EpochStore::with_rank_column(n, ranked),
             primed: false,
+            closed: false,
             moved: Vec::new(),
             moved_all: true,
             seeds: Vec::new(),
@@ -632,10 +638,13 @@ impl ArenaLevel {
 /// [`crate::oracle::oracle_run_with_schedule`] on the arena backend:
 /// each of the `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x`
 /// lives in a lane of one shared arena scratch (`O(Λ)` buffers total —
-/// no per-vertex maps), with the same frontier-sized carry-over diff
-/// and frontier-sized aggregation as the owned oracle. Bit-identical
-/// states, iteration counts, and fixpoint flags; only the storage
-/// counters differ.
+/// no per-vertex maps), with the same two carry-over schedules and
+/// frontier-sized aggregation as the owned oracle. A level whose last
+/// round closed keeps its closure lane and appends only the merged
+/// `r(y_λ[v] ⊕ x[v])` spans of the changed `x`-slots, so a round after
+/// a small aggregation change copies a handful of spans instead of
+/// re-projecting the lane. Bit-identical states, iteration counts, and
+/// fixpoint flags; only the storage counters differ.
 pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -671,11 +680,35 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
                 let lambda = lambda as u32;
                 let scale = sim.level_scale(lambda);
                 let wholesale = !level.primed || !carry_over;
+                let closure = if !wholesale && level.closed {
+                    x_changed
+                } else {
+                    None
+                };
                 let full_diff = level.moved_all || x_changed.is_none();
                 let before = level.store.stats();
                 level.seeds.clear();
                 let aug = sim.augmented();
-                if wholesale || full_diff {
+                if let Some(changed) = closure {
+                    // Closure carry-over: fold the changed x-slots into
+                    // the closed lane, y_λ[v] ← r(y_λ[v] ⊕ x[v]).
+                    let ArenaLevel { store, seeds, .. } = level;
+                    with_arena_acc(|acc| {
+                        for &v in changed {
+                            if sim.levels().level(v) < lambda {
+                                continue;
+                            }
+                            acc.assign_from_entries(store.get(v).entries);
+                            acc.merge_min_entries(x[v as usize].entries());
+                            alg.filter(acc);
+                            if acc.entries() != store.get(v).entries {
+                                store.assign(v, acc.entries(), |u| alg.entry_aux(u));
+                                seeds.push(v);
+                            }
+                        }
+                    });
+                    level.engine.mark_dirty(aug, level.seeds.iter().copied());
+                } else if wholesale || full_diff {
                     // Compare-and-assign every slot against the fresh
                     // projection P_λ x (writing an identical state is a
                     // no-op, so the compare is sound for the wholesale
@@ -724,10 +757,12 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
                 }
                 // Rewrite copy traffic (the hops account themselves).
                 let mut work = storage_delta(before, level.store.stats());
+                level.closed = false;
                 for _ in 0..sim.d() {
                     let (w, changed) = level.engine.step(alg, aug, &mut level.store, scale);
                     work += w;
                     if !changed {
+                        level.closed = true;
                         break;
                     }
                 }

@@ -53,13 +53,18 @@
 //!
 //! # Oracle routing
 //!
-//! [`oracle_run_dense_with_schedule`] mirrors the owned/arena oracles —
-//! `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x` with the
-//! frontier-sized carry-over diff — but keeps every level vector `y_λ`
-//! and the aggregate `x` as dense blocks: projections compare and copy
-//! rows, the aggregation folds level rows in ascending-λ order through
-//! [`fold_row_into`]. `approximate_metric_on` (Theorem 6.1 — the APSP
-//! query, whose output *is* an `n × n` matrix) routes through it.
+//! [`oracle_run_dense_with_schedule`] computes the same `Λ + 1` level
+//! contributions `P_λ (r^V A_λ)^d P_λ x` as the owned/arena oracles, but
+//! keeps every level vector `y_λ` and the aggregate `x` as dense blocks:
+//! projections compare and copy rows, the aggregation folds level rows
+//! in ascending-λ order through [`fold_row_into`]. Unlike them it keeps
+//! only the frontier-sized **projection diff** schedule every round — it
+//! never carries a closed level's closure over (see the
+//! [`crate::oracle`] module docs) — so its later rounds still re-seed
+//! every slot where the closure differs from the projection. Its states,
+//! iteration counts and fixpoint flags are bit-identical all the same.
+//! `approximate_metric_on` (Theorem 6.1 — the APSP query, whose output
+//! *is* an `n × n` matrix) routes through it.
 
 use crate::engine::{
     initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
@@ -958,8 +963,8 @@ where
 // ---------------------------------------------------------------------
 
 /// One level's slice of the dense oracle: its `y_λ` block, the engine
-/// driving it, and the carry-over bookkeeping mirroring
-/// `oracle::LevelScratch`.
+/// driving it, and the projection-diff bookkeeping of
+/// `oracle::LevelScratch` (without its closure carry-over flags).
 struct DenseLevel<A: DenseMbfAlgorithm>
 where
     A::S: DenseKernel,
@@ -977,10 +982,10 @@ where
 /// every level vector `y_λ` and the aggregate `x` live as
 /// [`DenseBlock`]s, the projection diff compares rows, and the
 /// aggregation folds level rows in ascending-λ order through
-/// [`fold_row_into`] with the filter fused in — the same frontier-sized
-/// carry-over structure as the owned/arena oracles, bit-identical
-/// states, iteration counts, and fixpoint flags (only the work
-/// counters' currency differs; see [`DenseEngine::step`]).
+/// [`fold_row_into`] with the filter fused in — the frontier-sized
+/// projection diff of the owned/arena oracles without their closure
+/// carry-over, bit-identical states, iteration counts, and fixpoint
+/// flags (only the work counters differ; see [`DenseEngine::step`]).
 pub fn oracle_run_dense_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,

@@ -14,38 +14,81 @@
 //! using only `G'`'s `O(m)` edges — `Λ·d ∈ polylog n` cheap iterations
 //! instead of one `Ω(n²)` dense product (Theorem 5.2).
 //!
-//! The inner `(r^V A_λ)^d` loops run on persistent [`MbfEngine`]s with
-//! **frontier carry-over across simulated `H`-iterations**: instead of
-//! rewriting `y ← P_λ x` wholesale and restarting all-dirty, each level
-//! diffs the projection against its own buffer from the previous round,
-//! rewrites only the vertices whose projected state actually changed,
-//! and seeds exactly those into the engine (on top of the engine's
-//! residual frontier — changes from its own last hop that neighbors have
-//! not yet absorbed). A vertex outside the closed neighborhood of
-//! (residual ∪ changed) provably recomputes to its current value, so the
-//! carry-over schedule is **bit-identical** to the all-dirty restart
+//! The inner `(r^V A_λ)^d` loops run on persistent [`MbfEngine`]s, one
+//! per level, that carry their buffer `y_λ` across simulated
+//! `H`-iterations. Hops after a level's fixpoint are skipped outright —
+//! the iteration map is deterministic, so an unchanged state vector can
+//! never change again, and the result is bit-identical to running all
+//! `d` hops. A level's very first round rewrites `y_λ ← P_λ x`
+//! wholesale and sweeps all-dirty. Every later round takes one of two
+//! schedules, chosen by what the level's previous round observed; both
+//! are **bit-identical** to the all-dirty restart from `P_λ x`
 //! (asserted against [`oracle_run_with_schedule`] with `carry_over:
-//! false`) while the per-round work tracks how much of the projection
-//! actually moved. Only a level's very first round (no previous buffer
-//! to diff against) sweeps all-dirty. Hops after the level's fixpoint
-//! are skipped outright — the iteration map is deterministic, so an
-//! unchanged state vector can never change again, and the result is
-//! bit-identical to running all `d` hops.
+//! false`, which keeps that restart as the reference).
 //!
-//! The **diff itself is frontier-sized**, not `O(n)` per round: the
-//! slots where `y_λ` can disagree with the fresh projection `P_λ x` are
-//! contained in `moved_λ ∪ C`, where `moved_λ` is the set of `y`-slots
-//! the level itself touched last round (projection rewrites plus the
-//! engine's change log of its inner hops) and `C` is the set of
-//! vertices of `x` the previous aggregation changed. Every other slot
-//! satisfies `y_λ[v] = P_λ x_prev[v] = P_λ x[v]` and is skipped without
-//! being read. The aggregation is frontier-sized by the same argument:
+//! **Closure carry-over** (the previous round reached the level's own
+//! fixpoint within its `d` hops). Then `y_λ` holds the closure
+//! `r(A_λ^* P_λ x_prev)`, and the round keeps it instead of resetting
+//! to `P_λ x`: at every `v ∈ C` (the vertices of `x` the previous
+//! aggregation changed) with `level(v) ≥ λ` it sets
+//! `y_λ[v] ← r(y_λ[v] ⊕ x[v])`, seeds exactly the slots whose state
+//! changed, and hops to the fixpoint as usual. Why the result equals
+//! the restart's `r(A_λ^d P_λ x)`:
+//!
+//! - `A^*` is idempotent (`A^* A^* = A^*`; the zero-weight self-loop
+//!   `a_vv = 0` makes every power contain the shorter ones), so the
+//!   stored closure already covers every path out of `P_λ x_prev`, and
+//!   `k` more hops from it give
+//!   `r(A^* P_λ x_prev ⊕ A^k P_λ x) = r(A^d P_λ x_prev ⊕ A^k P_λ x)`
+//!   (the previous round closed within `d` hops).
+//! - `x ≡_r x ⊕ x_prev`: level 0 has `P_0 = I`, and `a_vv = 0` keeps
+//!   `x_prev[v]` inside `y_0[v]`, so the aggregation already absorbed
+//!   it. Off `C` the rewrite is the identity for the same reason.
+//! - `r` is a congruence (Corollary 2.17), so filtering between hops
+//!   and folding `y_λ` into the start vector change no class.
+//! - IEEE `+` is monotone, so a rank- or distance-domination that holds
+//!   at a vertex carries along every path exactly: the classes above
+//!   are equalities of `f64` states, not approximations.
+//!
+//! Together, `d` hops from the carried start give
+//! `r(A^d P_λ (x_prev ⊕ x)) = r(A^d P_λ x)`. A vertex outside the closed
+//! neighborhood of the seeds recomputes to its current value (its old
+//! closure absorbed every neighbor), so the seeded frontier is exact,
+//! and the incremental run needs no more hops than the restart. The
+//! per-round work now tracks how much of `x` moved: a round in which
+//! the aggregation changed a handful of vertices reprocesses only their
+//! neighborhoods' wave, not every slot below level `λ`.
+//!
+//! **Projection diff** (the fallback, for a level whose previous round
+//! spent all `d` hops without confirming a fixpoint). The level diffs
+//! `P_λ x` against its own buffer, rewrites only the differing slots and
+//! seeds exactly those into the engine, on top of the engine's residual
+//! frontier (changes from its own last hop that neighbors have not yet
+//! absorbed). A vertex outside the closed neighborhood of
+//! (residual ∪ changed) recomputes to its current value. The diff is
+//! **frontier-sized**: the slots where `y_λ` can disagree with `P_λ x`
+//! are contained in `moved_λ ∪ C`, where `moved_λ` is the set of
+//! `y`-slots the level touched last round (rewrites plus the engine's
+//! change log of its inner hops). By induction over the rounds, a slot
+//! outside that set holds one of two values, and neither needs
+//! rewriting:
+//!
+//! - `P_λ x_prev[v] = P_λ x[v]`: the slot already equals the projection.
+//! - `c[v]`, for a closure `c = r(A^d P_λ x_old)` the level carried in
+//!   an earlier round and has not written the slot since (call these
+//!   slots `U`). The carry left the slot unchanged, so `c[v]` already absorbs `P_λ x[v]`. The hops add
+//!   `A^d c|_U`, which `A^d c ≡ c ≡ A^d P_λ x_old` dominates, and
+//!   `A^d P_λ x` absorbs that because `x ≡ x ⊕ x_old`.
+//!
+//! So the run reaches the restart's `r(A^d P_λ x)` after its `d` hops;
+//! it matches the restart hop for hop when `U` is empty. Only the round after a wholesale rewrite (no moved set) compares
+//! every slot once.
+//!
+//! The aggregation is frontier-sized on both schedules:
 //! `x[v] = r(⊕_λ P_λ y_λ[v])` holds for every vertex at the end of a
 //! round, so only vertices some level moved this round can aggregate to
 //! a new value — the per-round cost of a converging oracle run shrinks
-//! with the wave instead of staying `Θ(Λ·n)`. (Only the round after a
-//! wholesale rewrite pays one full diff: a wholesale round has no moved
-//! set.)
+//! with the wave instead of staying `Θ(Λ·n)`.
 //!
 //! # Parallel structure
 //!
@@ -91,12 +134,16 @@ pub struct OracleRun<M> {
 /// marks) and one projected state vector per level task. `primed` flips
 /// once the level has run its first round — from then on `y` holds the
 /// level's own `(r^V A_λ)^d P_λ x` from the previous simulated
-/// iteration, the baseline the next projection is diffed against.
+/// iteration, the baseline the next round starts from.
 struct LevelScratch<A: MbfAlgorithm> {
     engine: MbfEngine<A>,
     y: Vec<A::M>,
     primed: bool,
-    /// `y`-slots this level changed during its last round — projection
+    /// The last round's hops reached the level's fixpoint within `d`:
+    /// `y` is the closure `r(A_λ^* P_λ x_prev)` and the next round
+    /// carries it over instead of diffing against the projection.
+    closed: bool,
+    /// `y`-slots this level changed during its last round — start-state
     /// rewrites plus the engine's inner-hop change log — sorted
     /// ascending, deduplicated. The frontier-sized diff of the next
     /// round only examines `moved ∪ C`. Meaningless while `moved_all`.
@@ -105,8 +152,10 @@ struct LevelScratch<A: MbfAlgorithm> {
     /// disabled): the next diff must examine every slot and the
     /// aggregation cannot skip anything.
     moved_all: bool,
-    /// Scratch: this round's projection-rewrite seeds.
+    /// Scratch: this round's start-state rewrite seeds.
     seeds: Vec<NodeId>,
+    /// Scratch: the closure carry-over's `r(y_λ[v] ⊕ x[v])`.
+    acc: A::M,
 }
 
 /// Reusable buffers for repeated oracle iterations: one [`LevelScratch`]
@@ -140,9 +189,11 @@ impl<A: MbfAlgorithm> OracleScratch<A> {
                 engine,
                 y: Vec::new(),
                 primed: false,
+                closed: false,
                 moved: Vec::new(),
                 moved_all: true,
                 seeds: Vec::new(),
+                acc: A::M::zero(),
             });
         }
         self.levels.truncate(num_levels);
@@ -151,6 +202,7 @@ impl<A: MbfAlgorithm> OracleScratch<A> {
                 level.y.clear();
                 level.y.extend((0..n).map(|_| A::M::zero()));
                 level.primed = false;
+                level.closed = false;
                 level.moved_all = true;
             }
         }
@@ -194,11 +246,12 @@ pub(crate) fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMu
     }
 }
 
-/// The level phase of one simulated `H`-iteration: every level rewrites
-/// its projection baseline and runs `(r^V A_λ)^d` on its own engine,
-/// leaving the result in `level.y` and the set of moved `y`-slots in
-/// `level.moved`. `x_changed` is the set of `x`-slots the previous
-/// aggregation changed (`None` = unknown, diff everything).
+/// The level phase of one simulated `H`-iteration: every level sets up
+/// its start state (wholesale projection, closure carry-over, or
+/// projection diff — see the module docs) and runs `(r^V A_λ)^d` on its
+/// own engine, leaving the result in `level.y` and the set of moved
+/// `y`-slots in `level.moved`. `x_changed` is the set of `x`-slots the
+/// previous aggregation changed (`None` = unknown, diff everything).
 fn level_phase<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -249,10 +302,17 @@ where
             }
             let scale = sim.level_scale(lambda);
             let wholesale = !level.primed || !carry_over;
-            // The previous round left `moved` (or `moved_all`); this
-            // round's diff may only skip slots both unmoved and outside
-            // `x_changed`. A wholesale previous round (or an unknown
-            // `x_changed`) forces one full diff.
+            // A level that closed last round keeps its closure and folds
+            // in only the x-slots the aggregation changed.
+            let closure = if !wholesale && level.closed {
+                x_changed
+            } else {
+                None
+            };
+            // The previous round left `moved` (or `moved_all`); a
+            // projection diff may only skip slots both unmoved and
+            // outside `x_changed`. A wholesale previous round (or an
+            // unknown `x_changed`) forces one full diff.
             let full_diff = level.moved_all || x_changed.is_none();
             level.seeds.clear();
             if wholesale {
@@ -268,11 +328,34 @@ where
                 });
                 level.engine.mark_all_dirty(sim.augmented());
                 level.primed = true;
+            } else if let Some(changed) = closure {
+                // Closure carry-over: y_λ[v] ← r(y_λ[v] ⊕ x[v]) on the
+                // changed x-slots of this level; every other slot already
+                // absorbed its x value. The engine's frontier is empty
+                // (the last hop changed nothing), so the seeds are the
+                // whole frontier.
+                let LevelScratch { y, seeds, acc, .. } = level;
+                for &v in changed {
+                    if sim.levels().level(v) < lambda {
+                        continue;
+                    }
+                    let slot = &mut y[v as usize];
+                    acc.clone_from(slot);
+                    acc.add_assign(&x[v as usize]);
+                    alg.filter(acc);
+                    if acc != slot {
+                        std::mem::swap(slot, acc);
+                        seeds.push(v);
+                    }
+                }
+                level
+                    .engine
+                    .mark_dirty(sim.augmented(), level.seeds.iter().copied());
             } else if full_diff {
-                // Carry-over after a wholesale round: y still holds this
-                // level's previous result, but there is no moved set to
-                // bound the diff — compare every slot once, rewrite and
-                // seed exactly the differing ones. The changed list
+                // Projection diff after a wholesale round: y still holds
+                // this level's previous result, but there is no moved set
+                // to bound the diff — compare every slot once, rewrite
+                // and seed exactly the differing ones. The changed list
                 // collects in ascending vertex order (chunk-order
                 // concatenation), independent of the thread count.
                 level.seeds = level
@@ -327,10 +410,12 @@ where
             // a hop changes nothing the level is at its fixpoint and the
             // remaining hops are identity.
             let mut work = WorkStats::new();
+            level.closed = false;
             for _ in 0..sim.d() {
                 let (w, changed) = level.engine.step(alg, sim.augmented(), &mut level.y, scale);
                 work += w;
                 if !changed {
+                    level.closed = true;
                     break;
                 }
             }
@@ -453,12 +538,13 @@ where
 }
 
 /// [`oracle_run_with`] with the level schedule made explicit:
-/// `carry_over: true` (the default everywhere else) diffs each level's
-/// projection against its previous round and seeds only the changed
-/// vertices; `false` restarts every level all-dirty each round — the
-/// reference schedule, kept for ablation and differential testing. Both
-/// produce bit-identical states, iteration counts, and fixpoint flags;
-/// only the work counters differ.
+/// `carry_over: true` (the default everywhere else) carries each level's
+/// buffer into the next round — its closure if the level reached its
+/// fixpoint, else a diff against the fresh projection — and seeds only
+/// the changed vertices; `false` restarts every level all-dirty each
+/// round — the reference schedule, kept for ablation and differential
+/// testing. Both produce bit-identical states, iteration counts, and
+/// fixpoint flags; only the work counters differ.
 pub fn oracle_run_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -482,8 +568,8 @@ where
 /// `on_round(round, states)` after every round that changed something.
 /// Resuming from a recorded `(states, executed)` pair with fresh
 /// scratch is bit-identical to the uninterrupted run: an unprimed level
-/// rewrites wholesale on its first round, which the carry-over schedule
-/// already proves equivalent to the diffing restart.
+/// (`closed: false`) rewrites wholesale on its first round, which the
+/// carry-over schedules already prove equivalent to carrying on.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn oracle_loop<A>(
     alg: &A,
@@ -730,6 +816,28 @@ mod tests {
         assert!(!short.fixpoint);
         assert!(!short.converged);
         assert_eq!(short.h_iterations, 1);
+    }
+
+    #[test]
+    fn fresh_and_resized_scratch_starts_unclosed() {
+        // A resume re-enters the loop on fresh scratch: no level may
+        // claim a closure it never computed, so the first round is the
+        // wholesale rewrite. A closing round sets the flag; resizing
+        // the scratch for another graph clears it again.
+        let mut rng = StdRng::seed_from_u64(26);
+        let g = gnm_graph(30, 70, 1.0..6.0, &mut rng);
+        let d = 3 * (shortest_path_diameter(&g) as usize + 1);
+        let sim = SimulatedGraph::without_hopset(&g, d, 0.15, &mut rng);
+        let alg = SourceDetection::k_ssp(g.n(), 3);
+        let levels = sim.levels().lambda() as usize + 1;
+        let mut scratch = OracleScratch::<SourceDetection>::new(EngineStrategy::Frontier, true);
+        scratch.ensure(levels, g.n());
+        assert!(scratch.levels.iter().all(|l| !l.closed && !l.primed));
+        let x = initial_states(&alg, g.n());
+        level_phase(&alg, &sim, &x, &mut scratch, None);
+        assert!(scratch.levels.iter().all(|l| l.closed));
+        scratch.ensure(levels, g.n() + 1);
+        assert!(scratch.levels.iter().all(|l| !l.closed && !l.primed));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use metric_tree_embedding::core::engine::{run_to_fixpoint_with, EngineStrategy};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::oracle::oracle_run_to_fixpoint_with;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
+use metric_tree_embedding::graph::algorithms::shortest_path_diameter;
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use metric_tree_embedding::prelude::*;
 use rand::rngs::StdRng;
@@ -307,6 +308,63 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
                 );
                 assert_eq!(resumed.fixpoint, reference.fixpoint);
                 assert_eq!(report.converged, reference.converged);
+            }
+        });
+    }
+}
+
+/// Closure carry-over: with `d` above every level's convergence the
+/// levels close in every round and carry their closures forward. A
+/// checkpoint holds only the aggregate states, so a resume after the
+/// levels have closed starts on fresh level scratch — unclosed and
+/// unprimed — and its first round is the wholesale rewrite: every
+/// level's first hop sweeps all `n` vertices. The resumed run must
+/// still be bit-identical to the uninterrupted one.
+#[test]
+fn oracle_resumes_bit_identically_after_levels_closed() {
+    let mut rng = StdRng::seed_from_u64(0xC4E5);
+    let g = gnm_graph(80, 200, 1.0..6.0, &mut rng);
+    // A level's hops settle within SPD(G') + 1.
+    let d = 3 * (shortest_path_diameter(&g) as usize + 1);
+    let sim = SimulatedGraph::without_hopset(&g, d, 0.15, &mut rng);
+    let alg = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+    let cap = 4 * g.n();
+    let strategy = EngineStrategy::Frontier;
+    let sweep = (u64::from(sim.levels().lambda()) + 1) * g.n() as u64;
+    for threads in THREADS {
+        let (sim, alg) = (&sim, &alg);
+        with_threads(threads, move || {
+            let reference = oracle_run_to_fixpoint_with(alg, sim, cap, strategy);
+            let (_, checkpoints) = capture_all(|sink| {
+                try_oracle_run_checkpointed_with(
+                    alg,
+                    sim,
+                    cap,
+                    strategy,
+                    CheckpointPolicy::every_levels(1),
+                    |c| {
+                        sink.lock().unwrap().push(c.clone());
+                        Ok(())
+                    },
+                )
+                .unwrap()
+            });
+            // Round 1 primes (and closes) the levels; from round 2 on
+            // they carry closures.
+            let late: Vec<_> = checkpoints.iter().filter(|c| c.hop >= 2).collect();
+            assert!(!late.is_empty(), "no checkpoint after the levels closed");
+            for ckpt in late {
+                let (resumed, report) =
+                    try_resume_oracle_run_with(alg, sim, cap, strategy, ckpt).unwrap();
+                let at = format!("{threads} threads, round {}", ckpt.hop);
+                assert_eq!(resumed.states, reference.states, "{at}");
+                assert_eq!(resumed.h_iterations, reference.h_iterations, "{at}");
+                assert_eq!(resumed.fixpoint, reference.fixpoint, "{at}");
+                assert_eq!(report.converged, reference.converged, "{at}");
+                assert!(
+                    resumed.work.touched_vertices >= sweep,
+                    "{at}: first resumed round was not a wholesale rewrite"
+                );
             }
         });
     }

@@ -21,6 +21,7 @@ use metric_tree_embedding::core::oracle::try_oracle_run_to_fixpoint_with;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
+use metric_tree_embedding::graph::algorithms::shortest_path_diameter;
 use metric_tree_embedding::graph::io::{read_gr, GraphParseError};
 use metric_tree_embedding::prelude::*;
 use rand::rngs::StdRng;
@@ -224,6 +225,64 @@ fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
                             states, baselines[ti],
                             "{pipeline:?}/{site}/{kind}/nth={nth}/t={threads}: \
                              Ok run diverged from clean baseline"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Closure carry-over keeps a closed level's buffer `y_λ` from one
+/// round to the next instead of rewriting it from the projection, so a
+/// `poison_nan` at `oracle_level_loop` after the levels have closed
+/// lands in a slot no later round overwrites. Every arrival in rounds
+/// ≥ 2 — first, middle and last level of the round, both kinds, both
+/// pool shapes — must still end in a typed error, never in an `Ok` run
+/// (whose states could silently differ from the clean run's).
+#[test]
+fn late_round_oracle_level_faults_error_typed_after_levels_close() {
+    let _guard = FaultGuard::acquire();
+    let (og, sim) = oracle_fixture();
+    // A level's hops settle within SPD(G') + 1, so with d above that
+    // every level closes in every round.
+    assert!(
+        sim.d() > shortest_path_diameter(&og) as usize + 1,
+        "fixture levels must close"
+    );
+    let alg = SourceDetection::apsp(og.n());
+    let (clean, _) =
+        try_oracle_run_to_fixpoint_with(&alg, &sim, 4 * og.n(), EngineStrategy::default())
+            .expect("clean oracle run");
+    assert!(
+        clean.h_iterations >= 3,
+        "only {} rounds: nothing is carried",
+        clean.h_iterations
+    );
+    // One `oracle_level_loop` arrival per level task per round.
+    let per_round = u64::from(sim.levels().lambda()) + 1;
+    for round in 2..=clean.h_iterations as u64 {
+        let first = (round - 1) * per_round + 1;
+        for nth in [first, first + per_round / 2, round * per_round] {
+            for kind in [FaultKind::Panic, FaultKind::PoisonNan] {
+                for threads in [1usize, 4] {
+                    faults::install(FaultPlan::single(FaultSite::OracleLevelLoop, kind, nth));
+                    let serial = faults::fired_serial();
+                    let (og, sim) = (&og, &sim);
+                    let outcome = with_threads(threads, move || Pipeline::Oracle.run(og, sim));
+                    let fired = !faults::fired_since(serial).is_empty();
+                    faults::clear();
+                    let at = format!("round {round}/nth={nth}/{kind}/t={threads}");
+                    assert!(fired, "{at}: arrival never reached");
+                    match outcome {
+                        Err(RunError::InjectedFault { site, .. }) => {
+                            assert_eq!(site, FaultSite::OracleLevelLoop, "{at}")
+                        }
+                        Err(RunError::Panicked { .. }) | Err(RunError::CorruptState { .. }) => {}
+                        Err(other) => panic!("{at}: unexpected error class {other:?}"),
+                        Ok((states, _)) => panic!(
+                            "{at}: fired fault ended in Ok (states equal clean run: {})",
+                            states == clean.states
                         ),
                     }
                 }

@@ -25,6 +25,7 @@ use metric_tree_embedding::core::frt::le_list::{le_lists_oracle_with, LeListAlgo
 use metric_tree_embedding::core::frt::LeList;
 use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, OracleRun};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
+use metric_tree_embedding::graph::algorithms::shortest_path_diameter;
 use metric_tree_embedding::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -305,6 +306,153 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
             assert_eq!(r.fixpoint, reference.fixpoint);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Oracle level: closure carry-over (a level that reached its fixpoint
+// keeps its closure) vs the all-dirty restart, on both oracles.
+// ---------------------------------------------------------------------
+
+/// `d` well above every level's convergence: a level's hops settle
+/// within `SPD(G') + 1` (the scaling is uniform per level), so every
+/// level closes in every round and later rounds take the closure path.
+fn closing_oracle_fixture() -> (Graph, SimulatedGraph) {
+    let mut rng = StdRng::seed_from_u64(0x53F0);
+    let g = gnm_graph(160, 420, 1.0..6.0, &mut rng);
+    let d = 3 * (shortest_path_diameter(&g) as usize + 1);
+    let sim = SimulatedGraph::without_hopset(&g, d, 0.15, &mut rng);
+    (g, sim)
+}
+
+/// `d` far below the convergence of the large levels on a long, thin
+/// graph: those levels spend all `d` hops and fall back to the
+/// projection diff, while the sparse top levels still close.
+fn hop_limited_oracle_fixture() -> (Graph, SimulatedGraph) {
+    let mut rng = StdRng::seed_from_u64(0x53F1);
+    let mut edges: Vec<(NodeId, NodeId, f64)> = path_graph(120, 1.0).edges().collect();
+    // A dozen long chords, so the levels see more than one path.
+    edges.extend((0..120).step_by(10).map(|u| (u, (u * 37 + 11) % 120, 20.0)));
+    let g = Graph::from_edges(120, edges);
+    let sim = SimulatedGraph::without_hopset(&g, 2, 0.15, &mut rng);
+    (g, sim)
+}
+
+/// Owned and arena carry-over runs equal the `carry_over: false`
+/// restart in states, `h_iterations` and `fixpoint`, under
+/// `MTE_THREADS` {1, 4}. Returns the run's `h_iterations` and the
+/// (owned, arena) `entries_processed` of (carry-over, restart) for the
+/// caller's work assertions.
+fn assert_closure_carry_over_matches_restart<A>(
+    alg: &A,
+    sim: &SimulatedGraph,
+    cap: usize,
+    label: &str,
+) -> (usize, [(u64, u64); 2])
+where
+    A: ArenaMbfAlgorithm + Sync,
+{
+    let strategy = EngineStrategy::Frontier;
+    let reference = oracle_run_with_schedule(alg, sim, cap, strategy, false);
+    let mut entries = [(0, 0); 2];
+    for threads in [1, 4] {
+        let runs = with_threads(threads, || {
+            [
+                (
+                    oracle_run_with_schedule(alg, sim, cap, strategy, true),
+                    oracle_run_with_schedule(alg, sim, cap, strategy, false),
+                ),
+                (
+                    oracle_run_arena_with_schedule(alg, sim, cap, strategy, true),
+                    oracle_run_arena_with_schedule(alg, sim, cap, strategy, false),
+                ),
+            ]
+        });
+        for (backend, (carry, restart)) in ["owned", "arena"].into_iter().zip(&runs) {
+            for (schedule, run) in [("carry", carry), ("restart", restart)] {
+                let at = format!("{label}/{backend}/{schedule}/{threads} threads");
+                assert_eq!(run.states, reference.states, "{at}: states diverged");
+                assert_eq!(run.h_iterations, reference.h_iterations, "{at}");
+                assert_eq!(run.fixpoint, reference.fixpoint, "{at}");
+            }
+        }
+        for (slot, (carry, restart)) in entries.iter_mut().zip(&runs) {
+            *slot = (carry.work.entries_processed, restart.work.entries_processed);
+        }
+    }
+    (reference.h_iterations, entries)
+}
+
+#[test]
+fn closed_levels_carry_their_closure_bit_identically_and_cheaper() {
+    let (g, sim) = closing_oracle_fixture();
+    let cap = 4 * g.n();
+    let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F2)));
+    let le = LeListAlgorithm::new(ranks);
+    let kssp = SourceDetection::k_ssp(g.n(), 5);
+    for (label, (h_iterations, entries)) in [
+        (
+            "le-lists",
+            assert_closure_carry_over_matches_restart(&le, &sim, cap, "closing/le-lists"),
+        ),
+        (
+            "k-ssp",
+            assert_closure_carry_over_matches_restart(&kssp, &sim, cap, "closing/k-ssp"),
+        ),
+    ] {
+        // At least two rounds after the priming one, so closures are
+        // carried (and carried again).
+        assert!(h_iterations >= 3, "{label}: only {h_iterations} rounds");
+        // A carried level reprocesses only the wave of the changed
+        // x-slots, the restart every slot it re-seeds. The projection
+        // diff alone saves ~1% here (it still re-seeds almost every slot
+        // below level λ); the closure path saves more than half, so the
+        // factor pins that it actually ran.
+        for (backend, (carry, restart)) in ["owned", "arena"].into_iter().zip(entries) {
+            assert!(
+                2 * carry < restart,
+                "{label}/{backend}: closure carry-over processed {carry} entries, \
+                 restart {restart}"
+            );
+        }
+    }
+}
+
+#[test]
+fn hop_limited_levels_fall_back_to_the_projection_diff_bit_identically() {
+    let (g, sim) = hop_limited_oracle_fixture();
+    assert!(
+        (sim.d() as u32) < shortest_path_diameter(&g),
+        "fixture must leave the large levels hop-limited"
+    );
+    let cap = 4 * g.n();
+    let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F3)));
+    assert_closure_carry_over_matches_restart(
+        &LeListAlgorithm::new(ranks),
+        &sim,
+        cap,
+        "hop-limited/le-lists",
+    );
+    assert_closure_carry_over_matches_restart(
+        &SourceDetection::k_ssp(g.n(), 5),
+        &sim,
+        cap,
+        "hop-limited/k-ssp",
+    );
+    // SSSP from a level-0 source: every level λ ≥ 1 starts with an
+    // empty projection and closes at once, then receives the source's
+    // wave in later rounds and runs out of hops while carrying its
+    // closure — the carried-then-hop-limited transition, whose next
+    // round diffs against the projection while the slots it skips still
+    // hold the old closure's values.
+    let source = (0..g.n() as NodeId)
+        .find(|&v| sim.levels().level(v) == 0)
+        .expect("some vertex sits on level 0");
+    assert_closure_carry_over_matches_restart(
+        &SourceDetection::sssp(g.n(), source),
+        &sim,
+        cap,
+        "hop-limited/sssp",
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -631,6 +779,7 @@ proptest! {
         n in 3usize..26,
         extra in 0usize..36,
         seed in any::<u64>(),
+        d in 1usize..24,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n2 = 1 + n / 3;
@@ -663,8 +812,11 @@ proptest! {
             prop_assert!(pruned.work.entries_processed <= reference.work.entries_processed);
         }
 
-        // Oracle: carry-over vs all-dirty restarts.
-        let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
+        // Oracle: carry-over vs all-dirty restarts. `d` spans hop
+        // budgets below and above the levels' convergence, so one run
+        // mixes closed levels (closure carry-over) with hop-limited ones
+        // (projection diff), and levels switch between the two.
+        let sim = SimulatedGraph::without_hopset(&g, d, 0.2, &mut rng);
         let le = LeListAlgorithm::new(Arc::clone(&ranks));
         let carry = oracle_run_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
         let restart = oracle_run_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
@@ -683,6 +835,17 @@ proptest! {
         prop_assert_eq!(&arena_oracle.states, &carry.states);
         prop_assert_eq!(arena_oracle.h_iterations, carry.h_iterations);
         prop_assert_eq!(arena_oracle.fixpoint, carry.fixpoint);
+        // The same mix under a non-pruning algorithm.
+        let kssp = SourceDetection::k_ssp(g.n(), 3);
+        let restart = oracle_run_with_schedule(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
+        for carry in [
+            oracle_run_with_schedule(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, true),
+            oracle_run_arena_with_schedule(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, true),
+        ] {
+            prop_assert_eq!(&carry.states, &restart.states);
+            prop_assert_eq!(carry.h_iterations, restart.h_iterations);
+            prop_assert_eq!(carry.fixpoint, restart.fixpoint);
+        }
     }
 
     /// Sparse external edits (copy-on-write `assign` + `mark_dirty`
