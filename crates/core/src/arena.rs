@@ -57,7 +57,7 @@
 
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
 use crate::error::{RunError, RunReport};
-use crate::oracle::OracleRun;
+use crate::oracle::{aggregation_set, LevelCarry, LevelStart, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut, StoreStats};
@@ -608,15 +608,11 @@ pub fn try_run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
 
 /// One level's slice of the shared oracle arena: a pool lane + span
 /// table (its `y_λ` vector), the engine driving it, and the carry-over
-/// bookkeeping mirroring `oracle::LevelScratch`.
+/// bookkeeping every oracle shares.
 struct ArenaLevel {
     engine: ArenaEngine,
     store: EpochStore,
-    primed: bool,
-    closed: bool,
-    moved: Vec<NodeId>,
-    moved_all: bool,
-    seeds: Vec<NodeId>,
+    carry: LevelCarry,
 }
 
 impl ArenaLevel {
@@ -626,11 +622,7 @@ impl ArenaLevel {
         ArenaLevel {
             engine,
             store: EpochStore::with_rank_column(n, ranked),
-            primed: false,
-            closed: false,
-            moved: Vec::new(),
-            moved_all: true,
-            seeds: Vec::new(),
+            carry: LevelCarry::new(),
         }
     }
 }
@@ -679,104 +671,87 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
             .map(|(lambda, level)| {
                 let lambda = lambda as u32;
                 let scale = sim.level_scale(lambda);
-                let wholesale = !level.primed || !carry_over;
-                let closure = if !wholesale && level.closed {
-                    x_changed
-                } else {
-                    None
-                };
-                let full_diff = level.moved_all || x_changed.is_none();
+                let start = level.carry.start(carry_over, x_changed);
                 let before = level.store.stats();
-                level.seeds.clear();
                 let aug = sim.augmented();
-                if let Some(changed) = closure {
-                    // Closure carry-over: fold the changed x-slots into
-                    // the closed lane, y_λ[v] ← r(y_λ[v] ⊕ x[v]).
-                    let ArenaLevel { store, seeds, .. } = level;
-                    with_arena_acc(|acc| {
-                        for &v in changed {
-                            if sim.levels().level(v) < lambda {
-                                continue;
+                match start {
+                    LevelStart::Closure(changed) => {
+                        // Closure carry-over: fold the changed x-slots
+                        // into the closed lane, y_λ[v] ← r(y_λ[v] ⊕ x[v]).
+                        let ArenaLevel { store, carry, .. } = level;
+                        with_arena_acc(|acc| {
+                            for &v in changed {
+                                if sim.levels().level(v) < lambda {
+                                    continue;
+                                }
+                                acc.assign_from_entries(store.get(v).entries);
+                                acc.merge_min_entries(x[v as usize].entries());
+                                alg.filter(acc);
+                                if acc.entries() != store.get(v).entries {
+                                    store.assign(v, acc.entries(), |u| alg.entry_aux(u));
+                                    carry.seeds.push(v);
+                                }
                             }
-                            acc.assign_from_entries(store.get(v).entries);
-                            acc.merge_min_entries(x[v as usize].entries());
-                            alg.filter(acc);
-                            if acc.entries() != store.get(v).entries {
-                                store.assign(v, acc.entries(), |u| alg.entry_aux(u));
-                                seeds.push(v);
+                        });
+                    }
+                    LevelStart::Wholesale | LevelStart::FullDiff => {
+                        // Compare-and-assign every slot against the fresh
+                        // projection P_λ x (writing an identical state is
+                        // a no-op, so the compare is sound for the
+                        // wholesale reference too).
+                        for v in 0..n as NodeId {
+                            let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
+                                x[v as usize].entries()
+                            } else {
+                                &[]
+                            };
+                            if level.store.get(v).entries != want {
+                                level.store.assign(v, want, |u| alg.entry_aux(u));
+                                level.carry.seeds.push(v);
                             }
                         }
-                    });
-                    level.engine.mark_dirty(aug, level.seeds.iter().copied());
-                } else if wholesale || full_diff {
-                    // Compare-and-assign every slot against the fresh
-                    // projection P_λ x (writing an identical state is a
-                    // no-op, so the compare is sound for the wholesale
-                    // reference too).
-                    for v in 0..n as NodeId {
-                        let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
-                            x[v as usize].entries()
-                        } else {
-                            &[]
-                        };
-                        if level.store.get(v).entries != want {
-                            level.store.assign(v, want, |u| alg.entry_aux(u));
-                            level.seeds.push(v);
-                        }
                     }
-                    if wholesale {
-                        level.engine.mark_all_dirty(aug);
-                        level.primed = true;
-                    } else {
-                        level.engine.mark_dirty(aug, level.seeds.iter().copied());
+                    LevelStart::FrontierDiff(changed) => {
+                        // Frontier-sized diff: walk the sorted union of
+                        // the slots this level moved last round and the
+                        // x-slots the aggregation changed (see the oracle
+                        // module docs for why nothing else can disagree).
+                        let ArenaLevel { store, carry, .. } = level;
+                        carry.frontier_diff(changed, |v| {
+                            let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
+                                x[v as usize].entries()
+                            } else {
+                                &[]
+                            };
+                            let differs = store.get(v).entries != want;
+                            if differs {
+                                store.assign(v, want, |u| alg.entry_aux(u));
+                            }
+                            differs
+                        });
                     }
+                }
+                if start == LevelStart::Wholesale {
+                    level.engine.mark_all_dirty(aug);
                 } else {
-                    // Frontier-sized diff: walk the sorted union of the
-                    // slots this level moved last round and the x-slots
-                    // the aggregation changed (see the oracle module
-                    // docs for why nothing else can disagree).
-                    let changed = x_changed.unwrap_or(&[]);
-                    let ArenaLevel {
-                        store,
-                        moved,
-                        seeds,
-                        ..
-                    } = level;
-                    crate::oracle::for_each_sorted_union(moved, changed, |v| {
-                        let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
-                            x[v as usize].entries()
-                        } else {
-                            &[]
-                        };
-                        if store.get(v).entries != want {
-                            store.assign(v, want, |u| alg.entry_aux(u));
-                            seeds.push(v);
-                        }
-                    });
-                    level.engine.mark_dirty(aug, level.seeds.iter().copied());
+                    level
+                        .engine
+                        .mark_dirty(aug, level.carry.seeds.iter().copied());
                 }
                 // Rewrite copy traffic (the hops account themselves).
                 let mut work = storage_delta(before, level.store.stats());
-                level.closed = false;
+                let mut closed = false;
                 for _ in 0..sim.d() {
                     let (w, changed) = level.engine.step(alg, aug, &mut level.store, scale);
                     work += w;
                     if !changed {
-                        level.closed = true;
+                        closed = true;
                         break;
                     }
                 }
-                level.moved.clear();
-                level.engine.drain_change_log(&mut level.moved);
-                if wholesale {
-                    level.moved_all = true;
-                    level.moved.clear();
-                } else {
-                    level.moved_all = false;
-                    level.moved.extend_from_slice(&level.seeds);
-                    level.moved.sort_unstable();
-                    level.moved.dedup();
-                }
+                level
+                    .carry
+                    .finish(start, closed, |moved| level.engine.drain_change_log(moved));
                 work
             })
             .reduce(WorkStats::new, |mut a, b| {
@@ -788,17 +763,7 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
         // Frontier-sized aggregation, folding spans in ascending-λ
         // order (identical combination order and kernels as the owned
         // oracle's fold).
-        let recompute: Option<Vec<NodeId>> = if levels.iter().any(|l| l.moved_all) {
-            None
-        } else {
-            let mut union: Vec<NodeId> = Vec::new();
-            for level in &levels {
-                union.extend_from_slice(&level.moved);
-            }
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        };
+        let recompute = aggregation_set(levels.iter().map(|l| &l.carry));
         let levels_ref: &[ArenaLevel] = &levels;
         let x_ref: &[DistanceMap] = &states;
         let fold = |v: NodeId| -> DistanceMap {

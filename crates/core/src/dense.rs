@@ -55,14 +55,18 @@
 //!
 //! [`oracle_run_dense_with_schedule`] computes the same `Λ + 1` level
 //! contributions `P_λ (r^V A_λ)^d P_λ x` as the owned/arena oracles, but
-//! keeps every level vector `y_λ` and the aggregate `x` as dense blocks:
-//! projections compare and copy rows, the aggregation folds level rows
-//! in ascending-λ order through [`fold_row_into`]. Unlike them it keeps
-//! only the frontier-sized **projection diff** schedule every round — it
-//! never carries a closed level's closure over (see the
-//! [`crate::oracle`] module docs) — so its later rounds still re-seed
-//! every slot where the closure differs from the projection. Its states,
-//! iteration counts and fixpoint flags are bit-identical all the same.
+//! keeps every level vector `y_λ` and the aggregate `x` as dense blocks.
+//! It takes the same per-level schedule as they do, chosen in one place
+//! (`oracle::LevelCarry::start`, see the [`crate::oracle`] module docs):
+//! a level that reached its fixpoint within `d` hops carries its closure
+//! into the next round and folds in only the changed `x`-rows
+//! (`y_λ[v] ← r(y_λ[v] ⊕ x[v])` through [`fold_row_into`] and
+//! [`DenseMbfAlgorithm::dense_filter`]); a hop-limited level compares
+//! and copies rows in the frontier-sized projection diff. The
+//! aggregation folds level rows in ascending-λ order through
+//! [`fold_row_into`]. States, iteration counts and fixpoint flags are
+//! bit-identical to the owned oracle: min over `f64` is exact and
+//! `dense_filter ≡ filter`, so the row-wise fold is the owned fold.
 //! `approximate_metric_on` (Theorem 6.1 — the APSP query, whose output
 //! *is* an `n × n` matrix) routes through it.
 
@@ -70,7 +74,7 @@ use crate::engine::{
     initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
 };
 use crate::error::{Degradation, RunError, RunReport};
-use crate::oracle::OracleRun;
+use crate::oracle::{aggregation_set, LevelCarry, LevelStart, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{
@@ -963,8 +967,8 @@ where
 // ---------------------------------------------------------------------
 
 /// One level's slice of the dense oracle: its `y_λ` block, the engine
-/// driving it, and the projection-diff bookkeeping of
-/// `oracle::LevelScratch` (without its closure carry-over flags).
+/// driving it, the carry-over bookkeeping every oracle shares, and one
+/// reusable `k`-wide row for the closure fold `r(y_λ[v] ⊕ x[v])`.
 struct DenseLevel<A: DenseMbfAlgorithm>
 where
     A::S: DenseKernel,
@@ -972,20 +976,21 @@ where
 {
     engine: DenseEngine<A>,
     y: DenseBlock<A::S>,
-    primed: bool,
-    moved: Vec<NodeId>,
-    moved_all: bool,
-    seeds: Vec<NodeId>,
+    carry: LevelCarry,
+    acc: Vec<A::S>,
 }
 
 /// [`crate::oracle::oracle_run_with_schedule`] on the dense backend:
 /// every level vector `y_λ` and the aggregate `x` live as
-/// [`DenseBlock`]s, the projection diff compares rows, and the
-/// aggregation folds level rows in ascending-λ order through
-/// [`fold_row_into`] with the filter fused in — the frontier-sized
-/// projection diff of the owned/arena oracles without their closure
-/// carry-over, bit-identical states, iteration counts, and fixpoint
-/// flags (only the work counters differ; see [`DenseEngine::step`]).
+/// [`DenseBlock`]s, and the level schedules of the owned/arena oracles
+/// run row-wise. A level whose last round closed keeps its closure
+/// block and folds only the changed `x`-rows into it through
+/// [`fold_row_into`] and [`DenseMbfAlgorithm::dense_filter`]; a
+/// hop-limited level compares and copies rows in the frontier-sized
+/// projection diff. The aggregation folds level rows in ascending-λ
+/// order with the filter fused in. Bit-identical states, iteration
+/// counts, and fixpoint flags (only the work counters differ; see
+/// [`DenseEngine::step`]).
 pub fn oracle_run_dense_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -1013,10 +1018,8 @@ where
             DenseLevel {
                 engine,
                 y: DenseBlock::new(n, k),
-                primed: false,
-                moved: Vec::new(),
-                moved_all: true,
-                seeds: Vec::new(),
+                carry: LevelCarry::new(),
+                acc: zero_row.clone(),
             }
         })
         .collect();
@@ -1036,8 +1039,8 @@ where
             None
         };
         // Level phase: independent contributions, one parallel task per
-        // level, each rewriting its projection baseline row-wise and
-        // running d filtered hops on its own engine.
+        // level, each setting up its start rows and running d filtered
+        // hops on its own engine.
         work += levels
             .par_iter_mut()
             .with_min_len(1)
@@ -1046,67 +1049,77 @@ where
                 let lambda = lambda as u32;
                 let scale = sim.level_scale(lambda);
                 let aug = sim.augmented();
-                let wholesale = !level.primed || !carry_over;
-                let full_diff = level.moved_all || x_changed.is_none();
-                level.seeds.clear();
-                if wholesale || full_diff {
-                    for v in 0..n as NodeId {
-                        let want: &[A::S] = if sim.levels().level(v) >= lambda {
-                            x_ref.row(v)
-                        } else {
-                            zero_row_ref
-                        };
-                        if !rows_equal(level.y.row(v), want) {
-                            level.y.row_mut(v).copy_from_slice(want);
-                            level.seeds.push(v);
+                let start = level.carry.start(carry_over, x_changed);
+                match start {
+                    LevelStart::Closure(changed) => {
+                        // Closure carry-over: y_λ[v] ← r(y_λ[v] ⊕ x[v])
+                        // row-wise on the changed x-rows of this level.
+                        let DenseLevel { y, carry, acc, .. } = level;
+                        for &v in changed {
+                            if sim.levels().level(v) < lambda {
+                                continue;
+                            }
+                            acc.copy_from_slice(y.row(v));
+                            fold_row_into(acc, x_ref.row(v));
+                            alg.dense_filter(v, acc);
+                            if !rows_equal(acc, y.row(v)) {
+                                y.row_mut(v).copy_from_slice(acc);
+                                carry.seeds.push(v);
+                            }
                         }
                     }
-                    if wholesale {
-                        level.engine.mark_all_dirty(aug);
-                        level.primed = true;
-                    } else {
-                        level.engine.mark_dirty(aug, level.seeds.iter().copied());
+                    LevelStart::Wholesale | LevelStart::FullDiff => {
+                        for v in 0..n as NodeId {
+                            let want: &[A::S] = if sim.levels().level(v) >= lambda {
+                                x_ref.row(v)
+                            } else {
+                                zero_row_ref
+                            };
+                            if !rows_equal(level.y.row(v), want) {
+                                level.y.row_mut(v).copy_from_slice(want);
+                                level.carry.seeds.push(v);
+                            }
+                        }
                     }
+                    LevelStart::FrontierDiff(changed) => {
+                        // Frontier-sized diff: only `moved_λ ∪ C` can
+                        // disagree with the fresh projection (see the
+                        // oracle module docs).
+                        let DenseLevel { y, carry, .. } = level;
+                        carry.frontier_diff(changed, |v| {
+                            let want: &[A::S] = if sim.levels().level(v) >= lambda {
+                                x_ref.row(v)
+                            } else {
+                                zero_row_ref
+                            };
+                            let differs = !rows_equal(y.row(v), want);
+                            if differs {
+                                y.row_mut(v).copy_from_slice(want);
+                            }
+                            differs
+                        });
+                    }
+                }
+                if start == LevelStart::Wholesale {
+                    level.engine.mark_all_dirty(aug);
                 } else {
-                    // Frontier-sized diff: only `moved_λ ∪ C` can
-                    // disagree with the fresh projection (see the
-                    // oracle module docs).
-                    let changed = x_changed.unwrap_or(&[]);
-                    let DenseLevel {
-                        y, moved, seeds, ..
-                    } = level;
-                    crate::oracle::for_each_sorted_union(moved, changed, |v| {
-                        let want: &[A::S] = if sim.levels().level(v) >= lambda {
-                            x_ref.row(v)
-                        } else {
-                            zero_row_ref
-                        };
-                        if !rows_equal(y.row(v), want) {
-                            y.row_mut(v).copy_from_slice(want);
-                            seeds.push(v);
-                        }
-                    });
-                    level.engine.mark_dirty(aug, level.seeds.iter().copied());
+                    level
+                        .engine
+                        .mark_dirty(aug, level.carry.seeds.iter().copied());
                 }
                 let mut work = WorkStats::new();
+                let mut closed = false;
                 for _ in 0..sim.d() {
                     let (w, changed) = level.engine.step(alg, aug, &mut level.y, scale);
                     work += w;
                     if !changed {
+                        closed = true;
                         break;
                     }
                 }
-                level.moved.clear();
-                level.engine.drain_change_log(&mut level.moved);
-                if wholesale {
-                    level.moved_all = true;
-                    level.moved.clear();
-                } else {
-                    level.moved_all = false;
-                    level.moved.extend_from_slice(&level.seeds);
-                    level.moved.sort_unstable();
-                    level.moved.dedup();
-                }
+                level
+                    .carry
+                    .finish(start, closed, |moved| level.engine.drain_change_log(moved));
                 work
             })
             .reduce(WorkStats::new, |mut a, b| {
@@ -1118,17 +1131,7 @@ where
         // Frontier-sized aggregation: fold level rows in ascending-λ
         // order into the scratch matrix, filter, and compare — only
         // vertices some level moved can aggregate to a new value.
-        let recompute: Option<Vec<NodeId>> = if levels.iter().any(|l| l.moved_all) {
-            None
-        } else {
-            let mut union: Vec<NodeId> = Vec::new();
-            for level in &levels {
-                union.extend_from_slice(&level.moved);
-            }
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        };
+        let recompute = aggregation_set(levels.iter().map(|l| &l.carry));
         let levels_ref: &[DenseLevel<A>] = &levels;
         let x_imm = &x;
         let agg_base = SyncPtr(agg.as_mut_ptr());

@@ -82,8 +82,27 @@ pub fn approximate_metric(
     approximate_metric_on(&sim, config)
 }
 
+/// Byte budget for the dense oracle's blocks. It keeps ~2(Λ+2) full
+/// `n × n` blocks live (per-level vector + engine shadow, the
+/// aggregate, and its scratch) — a Λ× footprint over the sparse
+/// oracle's per-level state lists — so instances above it stay on the
+/// owned sparse route instead of trading speed for an OOM.
+const DENSE_ORACLE_BYTE_BUDGET: usize = 4 << 30; // 4 GiB
+
 /// As [`approximate_metric`], on a pre-built simulated graph.
 pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> ApproximateMetric {
+    approximate_metric_routed(sim, config, DENSE_ORACLE_BYTE_BUDGET)
+}
+
+/// [`approximate_metric_on`] with the dense oracle's byte budget as a
+/// parameter: the dense-block oracle when its blocks fit `dense_budget`,
+/// the owned oracle otherwise. Both routes give bit-identical matrices
+/// and iteration counts.
+fn approximate_metric_routed(
+    sim: &SimulatedGraph,
+    config: &MetricConfig,
+    dense_budget: usize,
+) -> ApproximateMetric {
     let n = sim.base().n();
     let cap = config
         .max_iterations
@@ -92,18 +111,13 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
     // APSP advertises dense states and its output *is* an n × n matrix:
     // route the oracle levels through the dense-block backend
     // (bit-identical to the owned oracle, differential-tested by
-    // `tests/schedule_equivalence.rs`). The dense oracle keeps ~2(Λ+2)
-    // full n×n blocks live (per-level vector + engine shadow, the
-    // aggregate, and its scratch) — a Λ× footprint over the sparse
-    // oracle's per-level state lists — so large instances stay on the
-    // owned sparse route instead of trading speed for an OOM.
-    const DENSE_ORACLE_BYTE_BUDGET: usize = 4 << 30; // 4 GiB
+    // `tests/schedule_equivalence.rs`) when its blocks fit the budget.
     let lambda = sim.levels().lambda() as usize;
     let dense_bytes = (2 * lambda + 4)
         .saturating_mul(n)
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
-    let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
+    let run = if dense_bytes <= dense_budget {
         oracle_run_dense_to_fixpoint_with(&alg, sim, cap, EngineStrategy::default())
     } else {
         oracle_run_to_fixpoint(&alg, sim, cap)
@@ -137,7 +151,7 @@ pub fn approximate_metric_with_spanner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mte_graph::algorithms::apsp;
+    use mte_graph::algorithms::{apsp, shortest_path_diameter};
     use mte_graph::generators::gnm_graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -228,5 +242,39 @@ mod tests {
         let ratio = max_ratio(&g, &metric);
         // (2k−1)·(1+o(1)) = 3·(1+o(1)).
         assert!(ratio <= 3.0 * 1.5, "spanner metric ratio {ratio}");
+    }
+
+    #[test]
+    fn dense_and_owned_routes_agree_bit_for_bit() {
+        // `d` well above every level's convergence, so every level
+        // closes in every round and the dense route's later rounds take
+        // the closure carry-over.
+        let mut rng = StdRng::seed_from_u64(34);
+        let g = gnm_graph(60, 150, 1.0..10.0, &mut rng);
+        let d = 3 * (shortest_path_diameter(&g) as usize + 1);
+        let sim = SimulatedGraph::without_hopset(&g, d, 0.05, &mut rng);
+        let config = MetricConfig::default();
+        let default = approximate_metric_on(&sim, &config);
+        let dense = approximate_metric_routed(&sim, &config, usize::MAX);
+        let owned = approximate_metric_routed(&sim, &config, 0);
+        // The default budget picks the dense route at this size; a zero
+        // budget forces the owned fallback.
+        assert!(default.work.dense_hops > 0);
+        assert!(dense.work.dense_hops > 0);
+        assert_eq!(owned.work.dense_hops, 0);
+        assert!(
+            dense.h_iterations >= 3,
+            "only {} rounds",
+            dense.h_iterations
+        );
+        for other in [&default, &owned] {
+            assert_eq!(other.h_iterations, dense.h_iterations);
+            assert_eq!(other.n(), dense.n());
+            for (a, b) in other.matrix().iter().zip(dense.matrix()) {
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.value().to_bits(), y.value().to_bits());
+                }
+            }
+        }
     }
 }

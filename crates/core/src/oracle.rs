@@ -24,7 +24,11 @@
 //! schedules, chosen by what the level's previous round observed; both
 //! are **bit-identical** to the all-dirty restart from `P_λ x`
 //! (asserted against [`oracle_run_with_schedule`] with `carry_over:
-//! false`, which keeps that restart as the reference).
+//! false`, which keeps that restart as the reference). All three
+//! oracles — owned (this module), arena ([`crate::arena`]) and dense
+//! ([`crate::dense`]) — take their schedule from one decision,
+//! `LevelCarry::start`, and differ only in how they rewrite slots or
+//! rows.
 //!
 //! **Closure carry-over** (the previous round reached the level's own
 //! fixpoint within its `d` hops). Then `y_λ` holds the closure
@@ -131,29 +135,14 @@ pub struct OracleRun<M> {
 }
 
 /// Reusable per-level buffers: one engine (shadow vectors, frontier
-/// marks) and one projected state vector per level task. `primed` flips
-/// once the level has run its first round — from then on `y` holds the
-/// level's own `(r^V A_λ)^d P_λ x` from the previous simulated
-/// iteration, the baseline the next round starts from.
+/// marks), one projected state vector and the level's carry-over
+/// bookkeeping per level task. Once the level has run its first round,
+/// `y` holds the level's own `(r^V A_λ)^d P_λ x` from the previous
+/// simulated iteration, the baseline the next round starts from.
 struct LevelScratch<A: MbfAlgorithm> {
     engine: MbfEngine<A>,
     y: Vec<A::M>,
-    primed: bool,
-    /// The last round's hops reached the level's fixpoint within `d`:
-    /// `y` is the closure `r(A_λ^* P_λ x_prev)` and the next round
-    /// carries it over instead of diffing against the projection.
-    closed: bool,
-    /// `y`-slots this level changed during its last round — start-state
-    /// rewrites plus the engine's inner-hop change log — sorted
-    /// ascending, deduplicated. The frontier-sized diff of the next
-    /// round only examines `moved ∪ C`. Meaningless while `moved_all`.
-    moved: Vec<NodeId>,
-    /// The last round rewrote `y` wholesale (priming round or carry-over
-    /// disabled): the next diff must examine every slot and the
-    /// aggregation cannot skip anything.
-    moved_all: bool,
-    /// Scratch: this round's start-state rewrite seeds.
-    seeds: Vec<NodeId>,
+    carry: LevelCarry,
     /// Scratch: the closure carry-over's `r(y_λ[v] ⊕ x[v])`.
     acc: A::M,
 }
@@ -188,11 +177,7 @@ impl<A: MbfAlgorithm> OracleScratch<A> {
             self.levels.push(LevelScratch {
                 engine,
                 y: Vec::new(),
-                primed: false,
-                closed: false,
-                moved: Vec::new(),
-                moved_all: true,
-                seeds: Vec::new(),
+                carry: LevelCarry::new(),
                 acc: A::M::zero(),
             });
         }
@@ -201,20 +186,153 @@ impl<A: MbfAlgorithm> OracleScratch<A> {
             if level.y.len() != n {
                 level.y.clear();
                 level.y.extend((0..n).map(|_| A::M::zero()));
-                level.primed = false;
-                level.closed = false;
-                level.moved_all = true;
+                level.carry = LevelCarry::new();
             }
         }
     }
 }
 
+/// How a level sets up its start state for one round (see the module
+/// docs for why every choice is bit-identical to the restart).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LevelStart<'a> {
+    /// First round, or carry-over disabled: `y_λ ← P_λ x` and an
+    /// all-dirty sweep.
+    Wholesale,
+    /// The level closed last round: keep its closure `y_λ` and fold in
+    /// the listed changed `x`-slots, `y_λ[v] ← r(y_λ[v] ⊕ x[v])` for
+    /// `level(v) ≥ λ`, seeding the slots that moved.
+    Closure(&'a [NodeId]),
+    /// Projection diff over every slot: the last round rewrote `y_λ`
+    /// wholesale (no moved set), or `x_changed` is unknown.
+    FullDiff,
+    /// Frontier-sized projection diff: only `moved_λ ∪ x_changed` (the
+    /// listed changed `x`-slots) can disagree with `P_λ x`; walk them
+    /// with [`LevelCarry::frontier_diff`].
+    FrontierDiff(&'a [NodeId]),
+}
+
+/// A level's carry-over bookkeeping across simulated `H`-iterations,
+/// identical on all three oracles (owned, arena, dense): what the
+/// level's last round observed and which `y`-slots it moved.
+/// [`LevelCarry::start`] is the one place a round's schedule is chosen;
+/// each backend matches on the returned [`LevelStart`] and does its own
+/// row or slot work. A fresh value (a new level, a resized scratch, a
+/// checkpoint resume) is unprimed and unclosed, so its first round is
+/// the wholesale rewrite.
+#[derive(Debug)]
+pub(crate) struct LevelCarry {
+    /// The level has run a round: `y_λ` holds its previous result.
+    primed: bool,
+    /// The last round's hops reached the level's fixpoint within `d`:
+    /// `y_λ` is the closure `r(A_λ^* P_λ x_prev)`.
+    closed: bool,
+    /// `y`-slots the level changed during its last round — start-state
+    /// rewrites plus the engine's inner-hop change log — sorted
+    /// ascending, deduplicated. Meaningless while `moved_all`.
+    moved: Vec<NodeId>,
+    /// The last round rewrote `y_λ` wholesale: the next diff must
+    /// examine every slot and the aggregation cannot skip anything.
+    moved_all: bool,
+    /// This round's start-state rewrite seeds: the backend pushes every
+    /// slot it rewrote.
+    pub(crate) seeds: Vec<NodeId>,
+}
+
+impl LevelCarry {
+    pub(crate) fn new() -> Self {
+        LevelCarry {
+            primed: false,
+            closed: false,
+            moved: Vec::new(),
+            moved_all: true,
+            seeds: Vec::new(),
+        }
+    }
+
+    /// Chooses this round's start schedule from what the last round
+    /// observed, and clears `seeds`. `x_changed` is the set of `x`-slots
+    /// the previous aggregation changed (`None` = unknown); `carry_over:
+    /// false` forces the wholesale restart every round.
+    pub(crate) fn start<'a>(
+        &mut self,
+        carry_over: bool,
+        x_changed: Option<&'a [NodeId]>,
+    ) -> LevelStart<'a> {
+        self.seeds.clear();
+        if !carry_over || !self.primed {
+            self.primed = true;
+            return LevelStart::Wholesale;
+        }
+        match x_changed {
+            Some(changed) if self.closed => LevelStart::Closure(changed),
+            Some(changed) if !self.moved_all => LevelStart::FrontierDiff(changed),
+            _ => LevelStart::FullDiff,
+        }
+    }
+
+    /// The [`LevelStart::FrontierDiff`] walk: visits `moved ∪ changed`
+    /// in ascending order and seeds every slot `rewrite` rewrote (it
+    /// returns `true` iff the slot differed from `P_λ x`).
+    pub(crate) fn frontier_diff(
+        &mut self,
+        changed: &[NodeId],
+        mut rewrite: impl FnMut(NodeId) -> bool,
+    ) {
+        let LevelCarry { moved, seeds, .. } = self;
+        for_each_sorted_union(moved, changed, |v| {
+            if rewrite(v) {
+                seeds.push(v);
+            }
+        });
+    }
+
+    /// Records the round after its hops: whether they `closed` (a hop
+    /// changed nothing within `d`), and the moved set — the engine's
+    /// inner-hop change log, which `drain_change_log` appends, plus this
+    /// round's seeds.
+    pub(crate) fn finish(
+        &mut self,
+        start: LevelStart<'_>,
+        closed: bool,
+        drain_change_log: impl FnOnce(&mut Vec<NodeId>),
+    ) {
+        self.closed = closed;
+        self.moved.clear();
+        drain_change_log(&mut self.moved);
+        self.moved_all = start == LevelStart::Wholesale;
+        if self.moved_all {
+            self.moved.clear();
+        } else {
+            self.moved.extend_from_slice(&self.seeds);
+            self.moved.sort_unstable();
+            self.moved.dedup();
+        }
+    }
+}
+
+/// The vertices the aggregation must recompute after a level phase:
+/// the sorted union of every level's moved set, or `None` (all of `V`)
+/// if some level rewrote wholesale. A skipped vertex re-aggregates to
+/// its current value, since none of its fold inputs moved.
+pub(crate) fn aggregation_set<'a>(
+    levels: impl Iterator<Item = &'a LevelCarry> + Clone,
+) -> Option<Vec<NodeId>> {
+    if levels.clone().any(|l| l.moved_all) {
+        return None;
+    }
+    let mut union: Vec<NodeId> = levels.flat_map(|l| l.moved.iter().copied()).collect();
+    union.sort_unstable();
+    union.dedup();
+    Some(union)
+}
+
 /// Visits the sorted union of two ascending, duplicate-free vertex
 /// lists exactly once per vertex, in ascending order. The shared
-/// co-walk under both oracles' frontier-sized carry-over diffs (owned
-/// and arena), kept in one place because its boundary behavior is
-/// correctness-critical.
-pub(crate) fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) {
+/// co-walk under the frontier-sized projection diff of all three
+/// oracles (owned, arena and dense), kept in one place because its
+/// boundary behavior is correctness-critical.
+fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
     let (mut i, mut j) = (0usize, 0usize);
@@ -250,7 +368,7 @@ pub(crate) fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMu
 /// its start state (wholesale projection, closure carry-over, or
 /// projection diff — see the module docs) and runs `(r^V A_λ)^d` on its
 /// own engine, leaving the result in `level.y` and the set of moved
-/// `y`-slots in `level.moved`. `x_changed` is the set of `x`-slots the
+/// `y`-slots in `level.carry`. `x_changed` is the set of `x`-slots the
 /// previous aggregation changed (`None` = unknown, diff everything).
 fn level_phase<A>(
     alg: &A,
@@ -301,137 +419,115 @@ where
                 _ => {}
             }
             let scale = sim.level_scale(lambda);
-            let wholesale = !level.primed || !carry_over;
-            // A level that closed last round keeps its closure and folds
-            // in only the x-slots the aggregation changed.
-            let closure = if !wholesale && level.closed {
-                x_changed
-            } else {
-                None
-            };
-            // The previous round left `moved` (or `moved_all`); a
-            // projection diff may only skip slots both unmoved and
-            // outside `x_changed`. A wholesale previous round (or an
-            // unknown `x_changed`) forces one full diff.
-            let full_diff = level.moved_all || x_changed.is_none();
-            level.seeds.clear();
-            if wholesale {
-                // First round (or carry-over disabled): y ← P_λ x
-                // wholesale, frontier restarts full. `clone_from` reuses
-                // each slot's heap buffer across iterations.
-                level.y.par_iter_mut().enumerate().for_each(|(v, slot)| {
-                    if sim.levels().level(v as NodeId) >= lambda {
-                        slot.clone_from(&x[v]);
-                    } else {
-                        slot.clone_from(&zero);
-                    }
-                });
-                level.engine.mark_all_dirty(sim.augmented());
-                level.primed = true;
-            } else if let Some(changed) = closure {
-                // Closure carry-over: y_λ[v] ← r(y_λ[v] ⊕ x[v]) on the
-                // changed x-slots of this level; every other slot already
-                // absorbed its x value. The engine's frontier is empty
-                // (the last hop changed nothing), so the seeds are the
-                // whole frontier.
-                let LevelScratch { y, seeds, acc, .. } = level;
-                for &v in changed {
-                    if sim.levels().level(v) < lambda {
-                        continue;
-                    }
-                    let slot = &mut y[v as usize];
-                    acc.clone_from(slot);
-                    acc.add_assign(&x[v as usize]);
-                    alg.filter(acc);
-                    if acc != slot {
-                        std::mem::swap(slot, acc);
-                        seeds.push(v);
+            let start = level.carry.start(carry_over, x_changed);
+            match start {
+                LevelStart::Wholesale => {
+                    // First round (or carry-over disabled): y ← P_λ x
+                    // wholesale, frontier restarts full. `clone_from`
+                    // reuses each slot's heap buffer across iterations.
+                    level.y.par_iter_mut().enumerate().for_each(|(v, slot)| {
+                        if sim.levels().level(v as NodeId) >= lambda {
+                            slot.clone_from(&x[v]);
+                        } else {
+                            slot.clone_from(&zero);
+                        }
+                    });
+                }
+                LevelStart::Closure(changed) => {
+                    // Closure carry-over: y_λ[v] ← r(y_λ[v] ⊕ x[v]) on
+                    // the changed x-slots of this level; every other slot
+                    // already absorbed its x value. The engine's frontier
+                    // is empty (the last hop changed nothing), so the
+                    // seeds are the whole frontier.
+                    let LevelScratch { y, carry, acc, .. } = level;
+                    for &v in changed {
+                        if sim.levels().level(v) < lambda {
+                            continue;
+                        }
+                        let slot = &mut y[v as usize];
+                        acc.clone_from(slot);
+                        acc.add_assign(&x[v as usize]);
+                        alg.filter(acc);
+                        if acc != slot {
+                            std::mem::swap(slot, acc);
+                            carry.seeds.push(v);
+                        }
                     }
                 }
-                level
-                    .engine
-                    .mark_dirty(sim.augmented(), level.seeds.iter().copied());
-            } else if full_diff {
-                // Projection diff after a wholesale round: y still holds
-                // this level's previous result, but there is no moved set
-                // to bound the diff — compare every slot once, rewrite
-                // and seed exactly the differing ones. The changed list
-                // collects in ascending vertex order (chunk-order
-                // concatenation), independent of the thread count.
-                level.seeds = level
-                    .y
-                    .par_iter_mut()
-                    .enumerate()
-                    .flat_map_iter(|(v, slot)| {
-                        let want = if sim.levels().level(v as NodeId) >= lambda {
-                            &x[v]
+                LevelStart::FullDiff => {
+                    // Projection diff after a wholesale round: y still
+                    // holds this level's previous result, but there is no
+                    // moved set to bound the diff — compare every slot
+                    // once, rewrite and seed exactly the differing ones.
+                    // The changed list collects in ascending vertex order
+                    // (chunk-order concatenation), independent of the
+                    // thread count.
+                    level.carry.seeds = level
+                        .y
+                        .par_iter_mut()
+                        .enumerate()
+                        .flat_map_iter(|(v, slot)| {
+                            let want = if sim.levels().level(v as NodeId) >= lambda {
+                                &x[v]
+                            } else {
+                                &zero
+                            };
+                            if slot != want {
+                                slot.clone_from(want);
+                                Some(v as NodeId)
+                            } else {
+                                None
+                            }
+                        })
+                        .collect();
+                }
+                LevelStart::FrontierDiff(changed) => {
+                    // Frontier-sized diff: a slot can disagree with the
+                    // fresh projection only if this level moved it last
+                    // round or the aggregation changed its `x` source —
+                    // everything else still equals `P_λ x` and is skipped
+                    // without being read.
+                    let LevelScratch { y, carry, .. } = level;
+                    carry.frontier_diff(changed, |v| {
+                        let want = if sim.levels().level(v) >= lambda {
+                            &x[v as usize]
                         } else {
                             &zero
                         };
-                        if slot != want {
+                        let slot = &mut y[v as usize];
+                        let differs = slot != want;
+                        if differs {
                             slot.clone_from(want);
-                            Some(v as NodeId)
-                        } else {
-                            None
                         }
-                    })
-                    .collect();
-                level
-                    .engine
-                    .mark_dirty(sim.augmented(), level.seeds.iter().copied());
+                        differs
+                    });
+                }
+            }
+            if start == LevelStart::Wholesale {
+                level.engine.mark_all_dirty(sim.augmented());
             } else {
-                // Frontier-sized diff: a slot can disagree with the
-                // fresh projection only if this level moved it last
-                // round (`moved`) or the aggregation changed its `x`
-                // source (`x_changed`) — everything else still equals
-                // `P_λ x` and is skipped without being read. Walk the
-                // sorted union of the two lists.
-                let changed = x_changed.unwrap_or(&[]);
-                let LevelScratch {
-                    y, moved, seeds, ..
-                } = level;
-                for_each_sorted_union(moved, changed, |v| {
-                    let want = if sim.levels().level(v) >= lambda {
-                        &x[v as usize]
-                    } else {
-                        &zero
-                    };
-                    let slot = &mut y[v as usize];
-                    if slot != want {
-                        slot.clone_from(want);
-                        seeds.push(v);
-                    }
-                });
                 level
                     .engine
-                    .mark_dirty(sim.augmented(), level.seeds.iter().copied());
+                    .mark_dirty(sim.augmented(), level.carry.seeds.iter().copied());
             }
             // y ← (r^V A_λ)^d y : d filtered hops on the scaled G'; once
             // a hop changes nothing the level is at its fixpoint and the
             // remaining hops are identity.
             let mut work = WorkStats::new();
-            level.closed = false;
+            let mut closed = false;
             for _ in 0..sim.d() {
                 let (w, changed) = level.engine.step(alg, sim.augmented(), &mut level.y, scale);
                 work += w;
                 if !changed {
-                    level.closed = true;
+                    closed = true;
                     break;
                 }
             }
             // Record what this round moved, for the next round's diff
             // and this round's aggregation: rewrites plus hop changes.
-            level.moved.clear();
-            level.engine.drain_change_log(&mut level.moved);
-            if wholesale {
-                level.moved_all = true;
-                level.moved.clear();
-            } else {
-                level.moved_all = false;
-                level.moved.extend_from_slice(&level.seeds);
-                level.moved.sort_unstable();
-                level.moved.dedup();
-            }
+            level
+                .carry
+                .finish(start, closed, |moved| level.engine.drain_change_log(moved));
             work
         })
         .reduce(WorkStats::new, |mut a, b| {
@@ -597,17 +693,7 @@ where
         // (their fold inputs are unchanged, so recomputation would
         // reproduce the current value bit for bit) — unless some level
         // rewrote wholesale and has no moved set.
-        let recompute: Option<Vec<NodeId>> = if scratch.levels.iter().any(|l| l.moved_all) {
-            None
-        } else {
-            let mut union: Vec<NodeId> = Vec::new();
-            for level in &scratch.levels {
-                union.extend_from_slice(&level.moved);
-            }
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        };
+        let recompute = aggregation_set(scratch.levels.iter().map(|l| &l.carry));
         let changed = aggregate(alg, sim, &scratch.levels, &mut states, recompute.as_deref());
         if changed.is_empty() {
             fixpoint = true;
@@ -832,12 +918,54 @@ mod tests {
         let levels = sim.levels().lambda() as usize + 1;
         let mut scratch = OracleScratch::<SourceDetection>::new(EngineStrategy::Frontier, true);
         scratch.ensure(levels, g.n());
-        assert!(scratch.levels.iter().all(|l| !l.closed && !l.primed));
+        assert!(scratch
+            .levels
+            .iter()
+            .all(|l| !l.carry.closed && !l.carry.primed));
         let x = initial_states(&alg, g.n());
         level_phase(&alg, &sim, &x, &mut scratch, None);
-        assert!(scratch.levels.iter().all(|l| l.closed));
+        assert!(scratch.levels.iter().all(|l| l.carry.closed));
         scratch.ensure(levels, g.n() + 1);
-        assert!(scratch.levels.iter().all(|l| !l.closed && !l.primed));
+        assert!(scratch
+            .levels
+            .iter()
+            .all(|l| !l.carry.closed && !l.carry.primed));
+    }
+
+    #[test]
+    fn level_start_follows_what_the_last_round_observed() {
+        let changed: &[NodeId] = &[2, 5];
+        let mut carry = LevelCarry::new();
+        // Unprimed: the first round is wholesale, whatever is known.
+        assert_eq!(carry.start(true, Some(changed)), LevelStart::Wholesale);
+        carry.finish(LevelStart::Wholesale, true, |_| {});
+        // Closed: carry the closure, unless `x_changed` is unknown.
+        assert_eq!(
+            carry.start(true, Some(changed)),
+            LevelStart::Closure(changed)
+        );
+        assert_eq!(carry.start(true, None), LevelStart::FullDiff);
+        // Carry-over disabled: the wholesale restart every round.
+        assert_eq!(carry.start(false, Some(changed)), LevelStart::Wholesale);
+        // Hop-limited after a wholesale round: no moved set, full diff.
+        carry.finish(LevelStart::Wholesale, false, |_| {});
+        assert_eq!(carry.start(true, Some(changed)), LevelStart::FullDiff);
+        // Hop-limited after a diff round: walk moved ∪ changed, where
+        // moved is the change log plus the round's seeds.
+        carry.seeds.push(7);
+        carry.finish(LevelStart::FullDiff, false, |moved| moved.extend([9, 1]));
+        assert_eq!(
+            carry.start(true, Some(changed)),
+            LevelStart::FrontierDiff(changed)
+        );
+        let mut walked = Vec::new();
+        carry.frontier_diff(changed, |v| {
+            walked.push(v);
+            v == 5
+        });
+        assert_eq!(walked, [1, 2, 5, 7, 9]);
+        assert_eq!(carry.seeds, [5]);
+        assert_eq!(aggregation_set([&carry].into_iter()), Some(vec![1, 7, 9]));
     }
 
     #[test]

@@ -310,7 +310,7 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
 
 // ---------------------------------------------------------------------
 // Oracle level: closure carry-over (a level that reached its fixpoint
-// keeps its closure) vs the all-dirty restart, on both oracles.
+// keeps its closure) vs the all-dirty restart, on all three oracles.
 // ---------------------------------------------------------------------
 
 /// `d` well above every level's convergence: a level's hops settle
@@ -382,6 +382,45 @@ where
     (reference.h_iterations, entries)
 }
 
+/// The dense oracle on APSP (the `approximate_metric` path, default
+/// engine strategy): carry-over and `carry_over: false` equal the owned
+/// oracle's restart and carry-over runs in states, `h_iterations` and
+/// `fixpoint`, under `MTE_THREADS` {1, 4}. Returns the run's
+/// `h_iterations` and the dense (carry-over, restart)
+/// `entries_processed`.
+fn assert_dense_closure_carry_over_matches_owned(
+    g: &Graph,
+    sim: &SimulatedGraph,
+    label: &str,
+) -> (usize, (u64, u64)) {
+    let cap = 4 * g.n();
+    let alg = SourceDetection::apsp(g.n());
+    let strategy = EngineStrategy::default();
+    let reference = oracle_run_with_schedule(&alg, sim, cap, strategy, false);
+    let owned = oracle_run_with_schedule(&alg, sim, cap, strategy, true);
+    let mut entries = (0, 0);
+    for threads in [1, 4] {
+        let (carry, restart) = with_threads(threads, || {
+            (
+                oracle_run_dense_with_schedule(&alg, sim, cap, strategy, true),
+                oracle_run_dense_with_schedule(&alg, sim, cap, strategy, false),
+            )
+        });
+        for (schedule, run) in [
+            ("owned/carry", &owned),
+            ("dense/carry", &carry),
+            ("dense/restart", &restart),
+        ] {
+            let at = format!("{label}/{schedule}/{threads} threads");
+            assert_eq!(run.states, reference.states, "{at}: states diverged");
+            assert_eq!(run.h_iterations, reference.h_iterations, "{at}");
+            assert_eq!(run.fixpoint, reference.fixpoint, "{at}");
+        }
+        entries = (carry.work.entries_processed, restart.work.entries_processed);
+    }
+    (reference.h_iterations, entries)
+}
+
 #[test]
 fn closed_levels_carry_their_closure_bit_identically_and_cheaper() {
     let (g, sim) = closing_oracle_fixture();
@@ -415,6 +454,18 @@ fn closed_levels_carry_their_closure_bit_identically_and_cheaper() {
             );
         }
     }
+    // The dense oracle on APSP: each carried level folds in only the
+    // changed x-rows and hops the wave they start. APSP rows keep
+    // changing on every vertex until the last rounds here, so the saving
+    // is smaller than above (carry/restart ≈ 0.55); the projection diff
+    // alone stays at ≈ 0.99, so the 3/5 factor pins the closure path.
+    let (h_iterations, (carry, restart)) =
+        assert_dense_closure_carry_over_matches_owned(&g, &sim, "closing/dense-apsp");
+    assert!(h_iterations >= 3, "dense-apsp: only {h_iterations} rounds");
+    assert!(
+        5 * carry < 3 * restart,
+        "dense-apsp: closure carry-over processed {carry} entries, restart {restart}"
+    );
 }
 
 #[test]
@@ -453,6 +504,7 @@ fn hop_limited_levels_fall_back_to_the_projection_diff_bit_identically() {
         cap,
         "hop-limited/sssp",
     );
+    assert_dense_closure_carry_over_matches_owned(&g, &sim, "hop-limited/dense-apsp");
 }
 
 // ---------------------------------------------------------------------
@@ -845,6 +897,17 @@ proptest! {
             prop_assert_eq!(&carry.states, &restart.states);
             prop_assert_eq!(carry.h_iterations, restart.h_iterations);
             prop_assert_eq!(carry.fixpoint, restart.fixpoint);
+        }
+        // And the dense oracle on APSP, both schedules, against the
+        // owned restart.
+        let apsp = SourceDetection::apsp(g.n());
+        let restart = oracle_run_with_schedule(&apsp, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
+        for carry_over in [true, false] {
+            let dense =
+                oracle_run_dense_with_schedule(&apsp, &sim, 3 * g.n(), EngineStrategy::Frontier, carry_over);
+            prop_assert_eq!(&dense.states, &restart.states);
+            prop_assert_eq!(dense.h_iterations, restart.h_iterations);
+            prop_assert_eq!(dense.fixpoint, restart.fixpoint);
         }
     }
 
