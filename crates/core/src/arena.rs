@@ -44,6 +44,42 @@
 //! differential-tests engine, oracle, and the FRT pipeline across both
 //! backends and `MTE_THREADS ∈ {1, 4}`.
 //!
+//! # New-entry masks (semi-naive hops)
+//!
+//! Propagating only *new* facts is the semi-naive evaluation rule, and
+//! it is what the paper's `Σ|x_v|` accounting charges: an LE iteration
+//! pays per entry that does work. The engine therefore records, for
+//! every vertex a hop changes, which entries of its new state are new:
+//! the change comparison against the old span is one co-walk of the two
+//! node-sorted states that also yields a `u64` **new-entry mask** — bit
+//! `i` set iff entry `i` of the new state is not in the old state with
+//! an identical `(node, dist)`. States longer than 64 entries get
+//! [`MASK_ALL`]. The masks live in one `Vec<u64>` per engine (8 B per
+//! vertex; no delta entries are ever copied) and reach the kernels
+//! through [`RecomputeCtx::neighbor_new_mask`]. An external rewrite
+//! ([`ArenaEngine::mark_dirty`], [`ArenaEngine::mark_all_dirty`],
+//! [`ArenaEngine::prime`]) resets every mask to [`MASK_ALL`], so every
+//! neighbor is read in full until the next commit records fresh masks.
+//!
+//! **Why reading only the masked entries is bit-identical** (for the
+//! LE lists, whose kernel uses it):
+//!
+//! * By the closed-neighborhood schedule, a vertex `v` recomputed
+//!   because its neighbor `w` changed has already absorbed `w`'s
+//!   pre-hop state — the premise that lets kernels skip clean neighbors
+//!   (see [`RecomputeCtx`]). An entry with a clear mask bit is an entry
+//!   of that pre-hop state.
+//! * Absorbing `(u, d)` leaves in `v`'s state an entry with
+//!   `dist ≤ d` and `rank ≤ rank(u)`: either `(u, d')` itself with
+//!   `d' ≤ d`, or the entry that dominated it. Such a witness persists:
+//!   min-merging only lowers its distance, and if the filter drops it,
+//!   its dominator is a witness too (domination is transitive).
+//! * The LE kernel rejects an incoming `(u, d)` iff `v`'s base holds an
+//!   entry with `dist ≤ d` and `rank ≤ rank(u)` (equal rank is exactly
+//!   the echo case, lower rank the domination case), so it rejects
+//!   every absorbed entry. Skipping them changes neither the admitted
+//!   set nor `entries_processed`.
+//!
 //! The oracle variant ([`oracle_run_arena_with_schedule`]) runs its
 //! `Λ + 1` level contributions over one shared arena scratch — a pool
 //! lane and span table per level inside a single structure, `O(Λ)`
@@ -159,8 +195,13 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
     }
 }
 
+/// New-entry mask value meaning "unknown: read the whole state" (see
+/// [`RecomputeCtx::neighbor_new_mask`]).
+pub const MASK_ALL: u64 = !0;
+
 /// Per-hop context handed to [`ArenaMbfAlgorithm::recompute_span`]:
-/// which states moved since each vertex last absorbed them.
+/// which states moved since each vertex last absorbed them, and which
+/// of their entries are new.
 ///
 /// # Absorption stability
 ///
@@ -178,9 +219,20 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
 /// [`ArenaEngine::mark_dirty`] taints its vertices:
 /// [`RecomputeCtx::require_full`] forces their next recomputation to
 /// merge every neighbor once.
+///
+/// # New-entry masks
+///
+/// The same premise, applied per entry: a dirty neighbor `w`'s entries
+/// that were already in its state before its last change have been
+/// absorbed too. [`RecomputeCtx::neighbor_new_mask`] marks the others
+/// (see the module docs for the argument that LE kernels may skip the
+/// unmarked ones bit-identically). Edits to `w` itself reset the masks
+/// to [`MASK_ALL`] ([`ArenaEngine::mark_dirty`] and friends), so an
+/// externally written state is always read in full once.
 pub struct RecomputeCtx<'a> {
     sched: &'a FrontierSchedule,
     taint: &'a crate::engine::TaintTable,
+    new_masks: &'a [u64],
 }
 
 impl RecomputeCtx<'_> {
@@ -198,6 +250,42 @@ impl RecomputeCtx<'_> {
     pub fn require_full(&self, v: NodeId) -> bool {
         self.taint.is_tainted(v)
     }
+
+    /// The new-entry mask of dirty neighbor `w`: bit `i` is set iff
+    /// entry `i` of `w`'s state was not in its state before its last
+    /// change with an identical `(node, dist)`. [`MASK_ALL`] means
+    /// unknown (never recorded, reset by an external edit, or a state
+    /// longer than 64 entries): read every entry. Bits past the end of
+    /// the span a reader sees carry no entry and must be ignored.
+    #[inline]
+    pub fn neighbor_new_mask(&self, w: NodeId) -> u64 {
+        self.new_masks[w as usize]
+    }
+}
+
+/// Compares `v`'s recomputed state `new` against its current state
+/// `old` in one co-walk, returning whether they differ and `new`'s
+/// new-entry mask (see [`RecomputeCtx::neighbor_new_mask`]). A bit is
+/// cleared only for an entry found in `old`, and a matched entry
+/// advances the walk, so `mask == 0` with equal lengths implies
+/// `new == old` — the change flag is exact even for unsorted outputs.
+fn diff_mask(old: &[(NodeId, Dist)], new: &[(NodeId, Dist)]) -> (bool, u64) {
+    if new.len() > 64 {
+        return (old != new, MASK_ALL);
+    }
+    let mut mask = 0u64;
+    let mut j = 0;
+    for (i, e) in new.iter().enumerate() {
+        while j < old.len() && old[j].0 < e.0 {
+            j += 1;
+        }
+        if j < old.len() && old[j] == *e {
+            j += 1;
+        } else {
+            mask |= 1 << i;
+        }
+    }
+    (mask != 0 || old.len() != new.len(), mask)
 }
 
 /// The literal merge-everything-then-filter recomputation over spans —
@@ -272,6 +360,8 @@ struct Rec {
     entries: u64,
     relaxations: u64,
     changed: bool,
+    /// New-entry mask of the output (meaningful only when changed).
+    mask: u64,
 }
 
 /// One chunk's append region: the entry/rank columns the chunk's
@@ -301,6 +391,10 @@ pub struct ArenaEngine {
     /// full-merge recomputation. Cleared per vertex when it is
     /// recomputed, wholesale on [`ArenaEngine::mark_all_dirty`].
     taint: crate::engine::TaintTable,
+    /// Per-vertex new-entry masks, written at commit for every changed
+    /// vertex and reset to [`MASK_ALL`] by external edits (see
+    /// [`RecomputeCtx::neighbor_new_mask`]).
+    new_masks: Vec<u64>,
 }
 
 impl ArenaEngine {
@@ -311,7 +405,16 @@ impl ArenaEngine {
             chunk_bufs: Vec::new(),
             changed: Vec::new(),
             taint: crate::engine::TaintTable::new(),
+            new_masks: Vec::new(),
         }
+    }
+
+    /// Resets every new-entry mask to [`MASK_ALL`]: some state was
+    /// written outside the engine, so neighbors read it in full until
+    /// the next commit records fresh masks.
+    fn invalidate_masks(&mut self, n: usize) {
+        self.new_masks.clear();
+        self.new_masks.resize(n, MASK_ALL);
     }
 
     /// The engine's scheduling strategy.
@@ -336,33 +439,39 @@ impl ArenaEngine {
 
     /// See [`crate::engine::MbfEngine::mark_all_dirty`]. Also clears
     /// all taints: the next hop merges every neighbor of every vertex
-    /// anyway (the whole graph is on the frontier).
+    /// anyway (the whole graph is on the frontier). Invalidates the
+    /// new-entry masks.
     pub fn mark_all_dirty(&mut self, g: &Graph) {
         self.sched.mark_all_dirty(g);
         self.taint.reset(g.n());
+        self.invalidate_masks(g.n());
     }
 
     /// Sizes the schedule and taint table for `g` with an **empty**
     /// frontier (cf. [`crate::engine::MbfEngine::prime`]): a following
     /// [`ArenaEngine::mark_dirty`] then seeds exactly its vertices
     /// instead of falling back to the all-dirty restart. Used by the
-    /// checkpoint-resume path.
+    /// checkpoint-resume path. Invalidates the new-entry masks.
     pub fn prime(&mut self, g: &Graph) {
         self.sched.ensure_sized(g);
         self.taint.ensure_sized(g.n());
+        self.invalidate_masks(g.n());
     }
 
     /// See [`crate::engine::MbfEngine::mark_dirty`]. The seeded
     /// vertices are additionally **tainted**: their states were
     /// rewritten outside the engine, so their next recomputation must
-    /// merge every neighbor (see [`RecomputeCtx::require_full`]).
+    /// merge every neighbor (see [`RecomputeCtx::require_full`]). Also
+    /// invalidates the new-entry masks, so the seeded states are read
+    /// in full by their neighbors.
     pub fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
         if !self.sched.sized_for(g.n()) {
             // Falls back to an all-dirty restart inside the schedule;
-            // keep the taint table in sync.
+            // keep the taint table and masks in sync.
             self.mark_all_dirty(g);
             return;
         }
+        self.invalidate_masks(g.n());
         let taint = &mut self.taint;
         self.sched
             .mark_dirty(g, vs.into_iter().inspect(|&v| taint.taint(v)));
@@ -402,6 +511,7 @@ impl ArenaEngine {
         let ctx = RecomputeCtx {
             sched: &self.sched,
             taint: &self.taint,
+            new_masks: &self.new_masks,
         };
         self.chunk_bufs[..k]
             .par_iter_mut()
@@ -423,11 +533,11 @@ impl ArenaEngine {
                         alg.recompute_span(v, g, weight_scale, store_ref, &ctx, &mut out)
                     };
                     let len = buf.entries.len() - start;
-                    let changed = if r.unchanged_hint {
+                    let (changed, mask) = if r.unchanged_hint {
                         debug_assert_eq!(len, 0, "unchanged_hint with written output");
-                        false
+                        (false, 0)
                     } else {
-                        store_ref.get(v).entries != &buf.entries[start..]
+                        diff_mask(store_ref.get(v).entries, &buf.entries[start..])
                     };
                     if !changed {
                         // Copy-on-write: the vertex keeps its old span;
@@ -441,6 +551,7 @@ impl ArenaEngine {
                         entries: r.entries,
                         relaxations: r.relaxations,
                         changed,
+                        mask,
                     });
                 }
             });
@@ -475,6 +586,7 @@ impl ArenaEngine {
                 relaxations += rec.relaxations;
                 if rec.changed {
                     store.set_span(touched[p], base + rec.off, rec.len);
+                    self.new_masks[touched[p] as usize] = rec.mask;
                     any_changed = true;
                 }
                 self.changed.push(rec.changed);
@@ -965,6 +1077,43 @@ mod tests {
                 engine.step(&alg, &g, &mut store, 1.0);
             }
             assert_eq!(store.export(), owned_states, "round {round}");
+        }
+    }
+
+    /// The LE twin of the test above, compared after **every** hop: an
+    /// external edit must reset the new-entry masks, or a neighbor of
+    /// the edited vertex would skip entries it never absorbed.
+    #[test]
+    fn arena_le_step_survives_external_edits_and_compaction() {
+        use crate::frt::le_list::{LeListAlgorithm, Ranks};
+        use std::sync::Arc;
+
+        let mut rng = StdRng::seed_from_u64(74);
+        let g = gnm_graph(40, 100, 1.0..6.0, &mut rng);
+        let alg = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+
+        let mut owned_states = initial_states(&alg, g.n());
+        let mut owned_engine = MbfEngine::new(EngineStrategy::Frontier);
+        owned_engine.mark_all_dirty(&g);
+        let mut store = initial_store(&alg, g.n());
+        let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
+        engine.mark_all_dirty(&g);
+
+        for round in 0..8u64 {
+            let v = (round * 7 % g.n() as u64) as NodeId;
+            let edit = alg.init((v + 1) % g.n() as NodeId);
+            owned_states[v as usize] = edit.clone();
+            owned_engine.mark_dirty(&g, [v]);
+            store.assign(v, edit.entries(), |u| alg.entry_aux(u));
+            engine.mark_dirty(&g, [v]);
+            store.compact();
+            for hop in 0..3 {
+                let (wo, co) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
+                let (wa, ca) = engine.step(&alg, &g, &mut store, 1.0);
+                assert_eq!(store.export(), owned_states, "round {round} hop {hop}");
+                assert_eq!(ca, co, "round {round} hop {hop}");
+                assert_eq!(wa.entries_processed, wo.entries_processed);
+            }
         }
     }
 }

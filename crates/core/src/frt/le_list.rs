@@ -23,16 +23,25 @@
 //! ([`DistanceMap::assign_merged_min`]), so dominated entries are never
 //! inserted, sorted, or filtered — bit-identical to merge-then-filter,
 //! differential-tested by the equivalence suite.
+//!
+//! The arena kernel ([`ArenaMbfAlgorithm::recompute_span`], the one the
+//! FRT pipeline runs) is **semi-naive**: of each dirty neighbor it reads
+//! only the entries the neighbor gained in its last change (the
+//! engine's new-entry masks, see [`crate::arena`]), tests each with one
+//! reject rule — some base entry with `dist ≤ d` and `rank ≤ rank(u)`
+//! — and combines the survivors with the base in one
+//! `(dist, rank)`-ordered merge-scan. Its work is per entry that can
+//! change something, the `Σ|x_v|` charge of Lemmas 7.6/7.8.
 
 use crate::arena::{
-    oracle_run_arena_to_fixpoint_with, run_to_fixpoint_arena_with, with_arena_acc,
-    ArenaMbfAlgorithm, RecomputeCtx, SpanRecompute,
+    oracle_run_arena_to_fixpoint_with, run_to_fixpoint_arena_with, ArenaMbfAlgorithm, RecomputeCtx,
+    SpanRecompute, MASK_ALL,
 };
 use crate::engine::{EngineStrategy, MbfAlgorithm};
 use crate::oracle::default_iteration_cap;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
-use mte_algebra::store::{EpochStore, SpanOut};
+use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut};
 use mte_algebra::{Dist, DistanceMap, Filter, MinPlus, NodeId};
 use mte_graph::Graph;
 use rand::seq::SliceRandom;
@@ -48,6 +57,12 @@ type Probe = Vec<(Dist, u32)>;
 /// per neighbor.
 type Gather = Vec<(NodeId, Dist)>;
 
+/// `(dist, rank, node)` triples: the arena kernel's admitted entries
+/// and its `(dist, rank)`-ordered copy of the base span.
+type RankedEntries = Vec<(Dist, u32, NodeId)>;
+/// The arena kernel's merge output, `(node, dist, rank)`.
+type Kept = Vec<(NodeId, Dist, u32)>;
+
 thread_local! {
     /// Per-thread probe + gather scratch for
     /// [`LeListAlgorithm::recompute_into`], kept thread-local so the
@@ -55,6 +70,11 @@ thread_local! {
     /// thread-parallel backend.
     static RECOMPUTE_SCRATCH: RefCell<(Probe, Gather)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+
+    /// Per-thread gather / base-order / merge-output scratch for the
+    /// arena kernel ([`ArenaMbfAlgorithm::recompute_span`]).
+    static SPAN_SCRATCH: RefCell<(RankedEntries, RankedEntries, Kept)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with this thread's probe + gather buffers (cleared by the
@@ -68,6 +88,20 @@ fn with_scratch<R>(f: impl FnOnce(&mut Vec<(Dist, u32)>, &mut Vec<(NodeId, Dist)
             f(probe, gather)
         }
         Err(_) => f(&mut Vec::new(), &mut Vec::new()),
+    })
+}
+
+/// Runs `f` with this thread's arena-kernel scratch (see
+/// [`with_scratch`]).
+fn with_span_scratch<R>(
+    f: impl FnOnce(&mut RankedEntries, &mut RankedEntries, &mut Kept) -> R,
+) -> R {
+    SPAN_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => {
+            let (gather, order, kept) = &mut *scratch;
+            f(gather, order, kept)
+        }
+        Err(_) => f(&mut Vec::new(), &mut Vec::new(), &mut Vec::new()),
     })
 }
 
@@ -375,19 +409,31 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
         self.ranks.rank(node)
     }
 
-    /// The arena twin of the rank-pruned [`MbfAlgorithm::recompute_into`]
-    /// override: identical echo rejection, domination probe, and
-    /// gather-once/merge-once pass, reading base and neighbor states as
-    /// borrowed spans. Three arena-specific wins:
+    /// The semi-naive arena twin of the rank-pruned
+    /// [`MbfAlgorithm::recompute_into`] override, reading base and
+    /// neighbor states as borrowed spans. Per dirty neighbor it scans
+    /// only the entries the neighbor **gained** in its last change, and
+    /// it tests each with a single reject rule:
     ///
-    /// * **clean neighbors are skipped outright** — LE rank domination
-    ///   is absorption-stable (entry values only improve; a dominated
-    ///   entry stays dominated because its dominator chain persists by
-    ///   transitivity), so an already-absorbed contribution is all
-    ///   echoes and dominated entries: provably an identity (see
-    ///   [`RecomputeCtx::neighbor_dirty`]);
-    /// * the probe's `(dist, rank)` pairs come straight from the pool's
-    ///   rank column (no per-entry rank lookups);
+    /// * **clean neighbors are skipped outright** and, of a dirty
+    ///   neighbor `w`, only the positions set in
+    ///   [`RecomputeCtx::neighbor_new_mask`] are read — every other
+    ///   entry was already absorbed, and LE rank domination is
+    ///   absorption-stable (the argument is in the [`crate::arena`]
+    ///   module docs). A tainted `v` ([`RecomputeCtx::require_full`])
+    ///   or an unknown mask reads the whole list;
+    /// * an incoming `(u, d)` is **rejected** iff some base entry has
+    ///   `dist ≤ d` and `rank ≤ rank(u)`, with `rank(u)` taken from the
+    ///   neighbor's rank column. Equal rank is exactly the old echo test
+    ///   (same node at distance `≤ d`), lower rank the domination test,
+    ///   so this rejects exactly their union. The base span is
+    ///   `O(log n)` long (Lemma 7.6), so a linear scan needs no sorted
+    ///   probe;
+    /// * admitted entries are combined with the base in one
+    ///   `(dist, rank)`-ordered merge-scan under the LE keep rule
+    ///   `rank < best` — which also keeps each node's minimum, since a
+    ///   node's later copies never have a rank below `best` — and one
+    ///   sort by node. That equals `r(base ⊕ admitted)` bit for bit;
     /// * the quiescent case — nothing admitted — returns
     ///   [`SpanRecompute::unchanged_hint`] so the engine keeps the old
     ///   span without even the `clone_from` the owned path pays.
@@ -401,15 +447,9 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
         out: &mut SpanOut<'_>,
     ) -> SpanRecompute {
         let base = states.get(v);
-        let base_entries = base.entries;
         let full = ctx.require_full(v);
         let mut relaxations = 0u64;
-        let mut admitted = 0u64;
-        let ranks = &*self.ranks;
-        with_scratch(|probe, gather| {
-            // The probe is built lazily: a steady-state recompute rejects
-            // every incoming entry as an echo and never pays the sort.
-            let mut probe_ready = false;
+        with_span_scratch(|gather, order, kept| {
             gather.clear();
             for &(w, ew) in g.neighbors(v) {
                 if !full && !ctx.neighbor_dirty(w) {
@@ -421,46 +461,31 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
                 if !s.is_finite() {
                     continue; // ∞ ⊙ x = ⊥ (Equation (2.2))
                 }
-                // Both entry slices are node-sorted: co-walk them so the
-                // echo test is a linear merge scan, not a search per
-                // entry.
-                let mut bi = 0;
-                for &(u, du) in states.get(w).entries {
-                    let d = du + s;
-                    while bi < base_entries.len() && base_entries[bi].0 < u {
-                        bi += 1;
+                let nb = states.get(w);
+                let mask = if full {
+                    MASK_ALL
+                } else {
+                    ctx.neighbor_new_mask(w)
+                };
+                if nb.len() > 64 {
+                    for i in 0..nb.len() {
+                        admit(&base, &nb, i, s, gather);
                     }
-                    if bi < base_entries.len() && base_entries[bi].0 == u && base_entries[bi].1 <= d
-                    {
-                        continue;
-                    }
-                    if !probe_ready {
-                        probe.clear();
-                        // (dist, rank) pairs straight out of the pool's
-                        // parallel rank column.
-                        probe.extend(
-                            base.entries
-                                .iter()
-                                .zip(base.ranks)
-                                .map(|(&(_, db), &rb)| (db, rb)),
-                        );
-                        probe.sort_unstable();
-                        let mut best = u32::MAX;
-                        for e in probe.iter_mut() {
-                            best = best.min(e.1);
-                            e.1 = best;
-                        }
-                        probe_ready = true;
-                    }
-                    let idx = probe.partition_point(|&(pd, _)| pd <= d);
-                    let dominated = idx > 0 && probe[idx - 1].1 < ranks.rank(u);
-                    if !dominated {
-                        gather.push((u, d));
-                        admitted += 1;
+                } else {
+                    // Bits past a (possibly truncated) span carry no entry.
+                    let live = if nb.len() == 64 {
+                        MASK_ALL
+                    } else {
+                        (1u64 << nb.len()) - 1
+                    };
+                    let mut bits = mask & live;
+                    while bits != 0 {
+                        admit(&base, &nb, bits.trailing_zeros() as usize, s, gather);
+                        bits &= bits - 1;
                     }
                 }
             }
-            let entries = base_entries.len().max(1) as u64 + admitted;
+            let entries = base.len().max(1) as u64 + gather.len() as u64;
             if gather.is_empty() {
                 // a_vv = 1 and nothing survived the prune: the hop is
                 // the identity on `v` — keep the span, copy nothing.
@@ -470,21 +495,67 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
                     unchanged_hint: true,
                 };
             }
+            // r(base ⊕ admitted): one (dist, rank)-ordered merge-scan
+            // with the LE keep rule, then back to node order.
             gather.sort_unstable();
-            gather.dedup_by(|next, prev| prev.0 == next.0);
-            with_arena_acc(|acc| {
-                acc.assign_merged_min_entries(base_entries, gather);
-                self.filter(acc);
-                for (u, d) in acc.iter() {
-                    out.push(u, d, ranks.rank(u));
+            order.clear();
+            order.extend(
+                base.entries
+                    .iter()
+                    .zip(base.ranks)
+                    .map(|(&(b, db), &rb)| (db, rb, b)),
+            );
+            order.sort_unstable();
+            kept.clear();
+            let mut best = u32::MAX;
+            let (mut i, mut j) = (0, 0);
+            while i < order.len() || j < gather.len() {
+                let e = if j == gather.len() || (i < order.len() && order[i] <= gather[j]) {
+                    i += 1;
+                    order[i - 1]
+                } else {
+                    j += 1;
+                    gather[j - 1]
+                };
+                if e.1 < best {
+                    best = e.1;
+                    kept.push((e.2, e.0, e.1));
                 }
-            });
+            }
+            kept.sort_unstable_by_key(|&(u, _, _)| u);
+            for &(u, d, r) in kept.iter() {
+                out.push(u, d, r);
+            }
             SpanRecompute {
                 entries,
                 relaxations,
                 unchanged_hint: false,
             }
         })
+    }
+}
+
+/// Tests entry `i` of neighbor span `nb`, scaled by `s`, against the
+/// base span: rejected iff some base entry has `dist ≤ d` and
+/// `rank ≤ rank(u)`; otherwise gathered as `(d, rank, node)`.
+#[inline]
+fn admit(
+    base: &DistanceSlice<'_>,
+    nb: &DistanceSlice<'_>,
+    i: usize,
+    s: Dist,
+    gather: &mut Vec<(Dist, u32, NodeId)>,
+) {
+    let (u, du) = nb.entries[i];
+    let ru = nb.ranks[i];
+    let d = du + s;
+    let rejected = base
+        .entries
+        .iter()
+        .zip(base.ranks)
+        .any(|(&(_, db), &rb)| db <= d && rb <= ru);
+    if !rejected {
+        gather.push((d, ru, u));
     }
 }
 

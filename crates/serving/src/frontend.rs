@@ -33,7 +33,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub struct ServeConfig {
     /// Work-unit budget per point query.
     pub query_budget: u64,
-    /// Work-unit budget per source in a batch sweep.
+    /// Work-unit budget per source in a batch sweep (its leaf-to-root
+    /// up-pass). The sweep's down-pass charges one unit per tree node
+    /// whatever the batch size, and is budgeted on top of this.
     pub batch_budget_per_query: u64,
     /// LE-list prefix length the degraded rung may inspect.
     pub truncate_len: usize,
@@ -285,8 +287,9 @@ impl Oracle {
     }
 
     /// Serves a batched sweep: exact tree distances from every source
-    /// to every vertex, through the dense block kernel. The budget
-    /// scales with the batch (`batch_budget_per_query × sources`).
+    /// to every vertex, through the dense block kernel. The budget is
+    /// `batch_budget_per_query × sources` for the per-source up-passes
+    /// plus the fixed down-pass cost of one unit per non-root tree node.
     pub fn batch_distances(
         &self,
         sources: &[u32],
@@ -296,10 +299,12 @@ impl Oracle {
             self.validate_vertex(s)?;
         }
         let _permit = self.admission.admit()?;
+        let down_pass = self.artifact.tree().len().saturating_sub(1) as u64;
         let budget = self
             .config
             .batch_budget_per_query
-            .saturating_mul(sources.len() as u64);
+            .saturating_mul(sources.len() as u64)
+            .saturating_add(down_pass);
         guarded(|| {
             let mut meter = Meter::new(budget);
             let distances = batch_tree_distances(&self.artifact, sources, token, &mut meter)?;

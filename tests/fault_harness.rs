@@ -17,6 +17,7 @@ use metric_tree_embedding::core::dense::{
     try_run_to_fixpoint_dense_with, try_run_to_fixpoint_switching_with, SwitchThresholds,
 };
 use metric_tree_embedding::core::engine::{try_run_to_fixpoint_with, EngineStrategy};
+use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::oracle::try_oracle_run_to_fixpoint_with;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
@@ -26,7 +27,7 @@ use metric_tree_embedding::graph::io::{read_gr, GraphParseError};
 use metric_tree_embedding::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serializes every test that touches the global fault registry.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -91,6 +92,9 @@ fn oracle_fixture() -> (Graph, SimulatedGraph) {
 enum Pipeline {
     Owned,
     Arena,
+    /// The arena engine under the FRT kernel (LE lists), whose
+    /// semi-naive hop reads neighbor spans through new-entry masks.
+    ArenaLe,
     Dense,
     Switching,
     Oracle,
@@ -105,7 +109,7 @@ impl Pipeline {
                 (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
             ],
-            Pipeline::Arena => vec![
+            Pipeline::Arena | Pipeline::ArenaLe => vec![
                 (FaultSite::EngineHopCommit, FaultKind::Panic),
                 (FaultSite::ArenaSpanRead, FaultKind::Panic),
                 (FaultSite::ArenaSpanRead, FaultKind::TruncateSpan),
@@ -147,6 +151,12 @@ impl Pipeline {
                 try_run_to_fixpoint_arena_with(&alg, g, cap, strategy)
                     .map(|(run, report)| (run.states, report))
             }
+            Pipeline::ArenaLe => {
+                let ranks = Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xFA03));
+                let alg = LeListAlgorithm::new(Arc::new(ranks));
+                try_run_to_fixpoint_arena_with(&alg, g, cap, strategy)
+                    .map(|(run, report)| (run.states, report))
+            }
             Pipeline::Dense => {
                 let alg = SourceDetection::apsp(g.n());
                 try_run_to_fixpoint_dense_with(&alg, g, cap, strategy, None)
@@ -172,9 +182,10 @@ impl Pipeline {
     }
 }
 
-const PIPELINES: [Pipeline; 5] = [
+const PIPELINES: [Pipeline; 6] = [
     Pipeline::Owned,
     Pipeline::Arena,
+    Pipeline::ArenaLe,
     Pipeline::Dense,
     Pipeline::Switching,
     Pipeline::Oracle,
@@ -228,6 +239,37 @@ fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
                         ),
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The sweep's early arrivals land in the first hop, where every
+/// new-entry mask is still unknown and the LE kernel reads whole spans.
+/// Later arrivals hit its masked reads of dirty neighbors (the ones a
+/// truncated span must not push past): they too must end in a typed
+/// error or a bit-identical run.
+#[test]
+fn late_span_faults_in_the_le_kernel_error_typed_or_leave_output_bit_identical() {
+    let _guard = FaultGuard::acquire();
+    let g = fixture_graph();
+    let (_og, sim) = oracle_fixture();
+    let (clean, _) = Pipeline::ArenaLe.run(&g, &sim).expect("clean LE run");
+    for nth in [1_200u64, 2_400, 3_600, 4_800] {
+        for kind in [FaultKind::TruncateSpan, FaultKind::Panic] {
+            faults::install(FaultPlan::single(FaultSite::ArenaSpanRead, kind, nth));
+            let serial = faults::fired_serial();
+            let outcome = Pipeline::ArenaLe.run(&g, &sim);
+            let fired = !faults::fired_since(serial).is_empty();
+            faults::clear();
+            let at = format!("nth={nth}/{kind}");
+            assert!(fired, "{at}: arrival never reached");
+            match outcome {
+                Err(RunError::InjectedFault { .. })
+                | Err(RunError::Panicked { .. })
+                | Err(RunError::CorruptState { .. }) => {}
+                Err(other) => panic!("{at}: unexpected error class {other:?}"),
+                Ok((states, _)) => assert_eq!(states, clean, "{at}: Ok run diverged"),
             }
         }
     }

@@ -608,6 +608,75 @@ fn arena_engine_bit_identical_to_owned_reference() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Semi-naive LE hops: a dirty neighbor's already-absorbed entries are
+// skipped through the engine's new-entry masks. Every hop must match
+// the owned reference and an arena engine that reads every dirty
+// neighbor in full — states, change flags and work counters alike.
+// ---------------------------------------------------------------------
+
+/// A unit path whose ranks decrease along it: node `n - 1` is the
+/// global minimum and every node stays in node 0's list, so lists
+/// outgrow a 64-bit new-entry mask and take the read-everything path.
+fn long_list_path(n: usize) -> (Graph, Arc<Ranks>) {
+    let order: Vec<NodeId> = (0..n as NodeId).rev().collect();
+    (path_graph(n, 1.0), Arc::new(Ranks::from_order(order)))
+}
+
+#[test]
+fn semi_naive_le_hops_match_owned_and_full_scan_hop_for_hop() {
+    let mut cases: Vec<(&str, Graph, Arc<Ranks>)> = workload_graphs()
+        .into_iter()
+        .map(|(name, g)| {
+            let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F0)));
+            (name, g, ranks)
+        })
+        .collect();
+    let (g, ranks) = long_list_path(100);
+    cases.push(("long-list path", g, ranks));
+    for (name, g, ranks) in &cases {
+        let alg = LeListAlgorithm::new(Arc::clone(ranks));
+        for strategy in STRATEGIES {
+            let mut owned_states = initial_states(&alg, g.n());
+            let mut owned = MbfEngine::new(strategy);
+            owned.mark_all_dirty(g);
+            let mut masked_store = initial_store(&alg, g.n());
+            let mut masked = ArenaEngine::new(strategy);
+            masked.mark_all_dirty(g);
+            let mut full_store = initial_store(&alg, g.n());
+            let mut full = ArenaEngine::new(strategy);
+            full.mark_all_dirty(g);
+            let mut converged = false;
+            for hop in 0..=g.n() {
+                // Seeding nothing still resets the masks: this engine
+                // reads every dirty neighbor's whole list.
+                full.mark_dirty(g, std::iter::empty());
+                let (wo, co) = owned.step(&alg, g, &mut owned_states, 1.0);
+                let (wm, cm) = masked.step(&alg, g, &mut masked_store, 1.0);
+                let (wf, cf) = full.step(&alg, g, &mut full_store, 1.0);
+                let at = format!("{name}/{strategy:?}/hop {hop}");
+                assert_eq!(masked_store.export(), owned_states, "{at}: masked vs owned");
+                assert_eq!(full_store.export(), owned_states, "{at}: full vs owned");
+                assert_eq!((cm, cf), (co, co), "{at}: change flags");
+                assert_eq!(wm.entries_processed, wo.entries_processed, "{at}");
+                assert_eq!(wm.entries_processed, wf.entries_processed, "{at}");
+                assert_eq!(wm.edge_relaxations, wf.edge_relaxations, "{at}");
+                assert!(wm.edge_relaxations <= wo.edge_relaxations, "{at}");
+                assert_eq!(wm.touched_vertices, wo.touched_vertices, "{at}");
+                if !co {
+                    converged = true;
+                    break;
+                }
+            }
+            assert!(converged, "{name}/{strategy:?}: no fixpoint");
+            if *name == "long-list path" {
+                // The fixture really exceeds the mask width.
+                assert_eq!(owned_states[0].len(), g.n(), "node 0 keeps every node");
+            }
+        }
+    }
+}
+
 #[test]
 fn arena_engine_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(0x53EA);

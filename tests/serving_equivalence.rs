@@ -10,7 +10,7 @@
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtTree, LeList, Ranks};
 use metric_tree_embedding::prelude::*;
 use metric_tree_embedding::serving::{
-    CancelToken, Oracle, OracleArtifact, Rung, ServeConfig, ServeDegradation,
+    CancelToken, Oracle, OracleArtifact, Rung, ServeConfig, ServeDegradation, ServeError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -106,6 +106,52 @@ fn batched_sweeps_match_leaf_distance_bit_for_bit() {
         }
         assert!(batch.work > 0, "{name}: work units not accounted");
     }
+}
+
+/// A batch sweep's down-pass costs one unit per tree node whatever the
+/// batch size, so it is budgeted on top of the per-source term: a
+/// single-source sweep over a tree far larger than one source's
+/// budget still fits, and its row equals the point answers. A zero
+/// per-source budget still leaves the up-pass unaffordable.
+#[test]
+fn single_source_sweep_fits_a_tree_larger_than_its_per_source_budget() {
+    let mut rng = StdRng::seed_from_u64(0x53E7);
+    let g = gnm_graph(1000, 3000, 1.0..100.0, &mut rng);
+    let artifact = artifact_for(&g, 0x53E8);
+    let per_source = ServeConfig::default().batch_budget_per_query;
+    assert!(
+        artifact.tree().len() as u64 > per_source,
+        "fixture tree ({} nodes) must exceed one source's budget",
+        artifact.tree().len()
+    );
+    let oracle = Oracle::new(artifact);
+    let source = 17u32;
+    let batch = oracle
+        .batch_distances(&[source], &CancelToken::new())
+        .unwrap_or_else(|e| panic!("k=1 sweep refused: {e}"));
+    for v in 0..g.n() as u32 {
+        let point = oracle
+            .distance(source, v)
+            .unwrap_or_else(|e| panic!("({source},{v}) failed: {e}"));
+        assert!(
+            batch.distances[0][v as usize] == point.value,
+            "({source},{v}): batch {} point {}",
+            batch.distances[0][v as usize],
+            point.value
+        );
+    }
+
+    let starved = Oracle::with_config(
+        artifact_for(&g, 0x53E8),
+        ServeConfig {
+            batch_budget_per_query: 0,
+            ..ServeConfig::default()
+        },
+    );
+    assert!(matches!(
+        starved.batch_distances(&[source], &CancelToken::new()),
+        Err(ServeError::DeadlineExceeded { .. })
+    ));
 }
 
 #[test]
