@@ -421,6 +421,12 @@ impl Semimodule<MinPlus> for DistanceMap {
             None => self.entries.push((0, Dist::poisoned())),
         }
     }
+
+    /// Entries are sorted by node, so the last one names the largest.
+    #[inline]
+    fn coordinates_below(&self, n: usize) -> bool {
+        self.entries.last().is_none_or(|&(v, _)| (v as usize) < n)
+    }
 }
 
 impl FromIterator<(NodeId, Dist)> for DistanceMap {

@@ -150,6 +150,12 @@ impl Semimodule<Bool> for NodeSet {
             NodeSet::new()
         }
     }
+
+    /// Nodes are sorted, so the last one is the largest.
+    #[inline]
+    fn coordinates_below(&self, n: usize) -> bool {
+        self.nodes.last().is_none_or(|&v| (v as usize) < n)
+    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,15 @@ pub trait Semimodule<S: Semiring>: Clone + PartialEq + Debug + Send + Sync + 'st
     /// Fault-injection only; the default is a no-op.
     #[inline]
     fn poison(&mut self) {}
+
+    /// Returns `true` iff every node id `self` names as a coordinate is
+    /// below `n`. Checks states that arrive from outside the program
+    /// (a decoded checkpoint) before an engine indexes by them; states
+    /// without node coordinates name none.
+    #[inline]
+    fn coordinates_below(&self, _n: usize) -> bool {
+        true
+    }
 }
 
 /// Every semiring is a zero-preserving semimodule over itself

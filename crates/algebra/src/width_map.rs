@@ -170,6 +170,12 @@ impl Semimodule<Width> for WidthMap {
             None => self.entries.push((0, Width(Dist::poisoned()))),
         }
     }
+
+    /// Entries are sorted by node, so the last one names the largest.
+    #[inline]
+    fn coordinates_below(&self, n: usize) -> bool {
+        self.entries.last().is_none_or(|&(v, _)| (v as usize) < n)
+    }
 }
 
 #[cfg(test)]

@@ -91,8 +91,9 @@
 //! frontier-sized projection diff (the `crate::oracle` module docs hold
 //! the proof that both are bit-identical to the restart).
 
+use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
-use crate::error::{RunError, RunReport};
+use crate::error::{Degradation, RunError, RunReport};
 use crate::oracle::{aggregation_set, LevelCarry, LevelStart, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
@@ -330,7 +331,7 @@ pub fn default_recompute_span<A: ArenaMbfAlgorithm + ?Sized>(
 
 /// Storage counters of a [`StoreStats`] snapshot folded into the
 /// work-accounting shape.
-pub(crate) fn storage_work(stats: StoreStats) -> WorkStats {
+fn storage_work(stats: StoreStats) -> WorkStats {
     WorkStats {
         bytes_copied: stats.bytes_copied,
         alloc_count: stats.alloc_count,
@@ -627,31 +628,6 @@ pub fn initial_store<A: ArenaMbfAlgorithm>(alg: &A, n: usize) -> EpochStore {
     store
 }
 
-/// Runs exactly `h` iterations on the arena backend (cf.
-/// [`crate::engine::run_with`]); bit-identical states, exported as
-/// owned maps.
-pub fn run_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> MbfRun<DistanceMap> {
-    let mut store = initial_store(alg, g.n());
-    let mut work = storage_work(store.stats());
-    let mut engine = ArenaEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    for _ in 0..h {
-        let (w, _) = engine.step(alg, g, &mut store, 1.0);
-        work += w;
-    }
-    MbfRun {
-        states: store.export(),
-        iterations: h,
-        fixpoint: false,
-        work,
-    }
-}
-
 /// Iterates the arena backend to the fixpoint, capped at `cap` hops
 /// (cf. [`crate::engine::run_to_fixpoint_with`]: the confirming hop is
 /// counted).
@@ -661,37 +637,12 @@ pub fn run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
     cap: usize,
     strategy: EngineStrategy,
 ) -> MbfRun<DistanceMap> {
-    let mut store = initial_store(alg, g.n());
-    let mut work = storage_work(store.stats());
-    let mut engine = ArenaEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, &mut store, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
-        }
+    let backend = ArenaBackend::fresh(alg, g, strategy);
+    let policy = CheckpointPolicy::disabled();
+    match drive(alg, g, backend, 0, cap, policy, |_| Ok(())) {
+        Ok((run, _)) => run,
+        Err(e) => unreachable!("no-op sink cannot fail: {e}"),
     }
-    MbfRun {
-        states: store.export(),
-        iterations,
-        fixpoint,
-        work,
-    }
-}
-
-/// Iterates the arena backend to the fixpoint under the default hybrid
-/// strategy.
-pub fn run_to_fixpoint_arena<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-) -> MbfRun<DistanceMap> {
-    run_to_fixpoint_arena_with(alg, g, cap, EngineStrategy::default())
 }
 
 /// Guarded [`run_to_fixpoint_arena_with`] (cf.
@@ -703,14 +654,83 @@ pub fn try_run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
     cap: usize,
     strategy: EngineStrategy,
 ) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
-    let run = crate::error::run_guarded(|| run_to_fixpoint_arena_with(alg, g, cap, strategy))?;
-    crate::error::check_states::<MinPlus, DistanceMap>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+    let policy = CheckpointPolicy::disabled();
+    crate::checkpoint::try_run_checkpointed_arena_with(alg, g, cap, strategy, policy, |_| Ok(()))
+}
+
+/// The arena backend of the fixpoint driver: an [`ArenaEngine`] and the
+/// epoch pool it steps.
+pub(crate) struct ArenaBackend {
+    engine: ArenaEngine,
+    store: EpochStore,
+    /// The initial pool load, charged before the first hop.
+    setup: WorkStats,
+}
+
+impl ArenaBackend {
+    /// `r^V x⁽⁰⁾` bulk-loaded into a fresh pool, every vertex dirty.
+    pub(crate) fn fresh<A: ArenaMbfAlgorithm>(
+        alg: &A,
+        g: &Graph,
+        strategy: EngineStrategy,
+    ) -> Self {
+        let store = initial_store(alg, g.n());
+        let setup = storage_work(store.stats());
+        let mut engine = ArenaEngine::new(strategy);
+        engine.mark_all_dirty(g);
+        ArenaBackend {
+            engine,
+            store,
+            setup,
+        }
+    }
+
+    /// The checkpoint's states bulk-loaded into a fresh pool, with
+    /// exactly its recorded frontier seeded (and tainted: those spans
+    /// were written outside the engine).
+    pub(crate) fn resume<A: ArenaMbfAlgorithm>(
+        alg: &A,
+        g: &Graph,
+        strategy: EngineStrategy,
+        ckpt: &Checkpoint<DistanceMap>,
+    ) -> Self {
+        let mut store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
+        store.import(&ckpt.states, |u| alg.entry_aux(u));
+        let setup = storage_work(store.stats());
+        let mut engine = ArenaEngine::new(strategy);
+        engine.prime(g);
+        engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        ArenaBackend {
+            engine,
+            store,
+            setup,
+        }
+    }
+}
+
+impl<A: ArenaMbfAlgorithm> Backend<A> for ArenaBackend {
+    fn hop(&mut self, alg: &A, g: &Graph) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.store, 1.0)
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        self.engine.frontier()
+    }
+
+    /// Reads the pool through the raw span accessor: a capture records
+    /// the true epoch state without consuming `arena_span_read` fault
+    /// arrivals.
+    fn capture(&self) -> Vec<DistanceMap> {
+        self.store.export_raw()
+    }
+
+    fn setup_work(&self) -> WorkStats {
+        self.setup
+    }
+
+    fn finish(self) -> (Vec<DistanceMap>, Vec<Degradation>) {
+        (self.store.export(), Vec::new())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -940,26 +960,17 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     }
 }
 
-/// Arena oracle with the production carry-over schedule.
-pub fn oracle_run_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<DistanceMap> {
-    oracle_run_arena_with_schedule(alg, sim, h, strategy, true)
-}
-
-/// Iterates the arena oracle to a fixpoint, capped at `cap` simulated
-/// iterations (the capped run *is* the run-to-fixpoint — the fixpoint
-/// check stops early).
+/// Iterates the arena oracle to a fixpoint under the production
+/// carry-over schedule, capped at `cap` simulated iterations (the
+/// capped run *is* the run-to-fixpoint — the fixpoint check stops
+/// early).
 pub fn oracle_run_arena_to_fixpoint_with<A: ArenaMbfAlgorithm>(
     alg: &A,
     sim: &SimulatedGraph,
     cap: usize,
     strategy: EngineStrategy,
 ) -> OracleRun<DistanceMap> {
-    oracle_run_arena_with(alg, sim, cap, strategy)
+    oracle_run_arena_with_schedule(alg, sim, cap, strategy, true)
 }
 
 #[cfg(test)]

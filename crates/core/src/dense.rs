@@ -70,6 +70,10 @@
 //! `approximate_metric_on` (Theorem 6.1 — the APSP query, whose output
 //! *is* an `n × n` matrix) routes through it.
 
+use crate::checkpoint::{
+    drive, try_run_checkpointed_dense_with, try_run_checkpointed_switching_with, Backend,
+    Checkpoint, CheckpointPolicy,
+};
 use crate::engine::{
     initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
 };
@@ -440,35 +444,6 @@ where
     DenseBlock::from_states(&initial_states(alg, n), n)
 }
 
-/// Runs exactly `h` iterations on the dense backend (cf.
-/// [`crate::engine::run_with`]); bit-identical states, exported as
-/// sparse maps.
-pub fn run_dense_with<A>(alg: &A, g: &Graph, h: usize, strategy: EngineStrategy) -> MbfRun<A::M>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    assert!(
-        alg.advertises_dense(),
-        "algorithm instance does not advertise dense states"
-    );
-    let mut block = initial_block(alg, g.n());
-    let mut engine = DenseEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut work = WorkStats::new();
-    for _ in 0..h {
-        let (w, _) = engine.step(alg, g, &mut block, 1.0);
-        work += w;
-    }
-    MbfRun {
-        states: block.export(),
-        iterations: h,
-        fixpoint: false,
-        work,
-    }
-}
-
 /// Iterates the dense backend to the fixpoint, capped at `cap` hops
 /// (cf. [`crate::engine::run_to_fixpoint_with`]: the confirming hop is
 /// counted).
@@ -483,30 +458,99 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    assert!(
-        alg.advertises_dense(),
-        "algorithm instance does not advertise dense states"
-    );
-    let mut block = initial_block(alg, g.n());
-    let mut engine = DenseEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut work = WorkStats::new();
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, &mut block, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
-        }
+    let policy = CheckpointPolicy::disabled();
+    match DenseBackend::fresh(alg, g, strategy, None)
+        .and_then(|backend| drive(alg, g, backend, 0, cap, policy, |_| Ok(())))
+    {
+        Ok((run, _)) => run,
+        Err(e) => unreachable!("an unbudgeted run with a no-op sink cannot fail: {e}"),
     }
-    MbfRun {
-        states: block.export(),
-        iterations,
-        fixpoint,
-        work,
+}
+
+/// The dense backend of the fixpoint driver: a [`DenseEngine`] and the
+/// block it steps.
+pub(crate) struct DenseBackend<A: DenseMbfAlgorithm>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    engine: DenseEngine<A>,
+    block: DenseBlock<A::S>,
+}
+
+impl<A: DenseMbfAlgorithm> DenseBackend<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    /// `r^V x⁽⁰⁾` as an `n × n` block, every vertex dirty. A block over
+    /// `budget_bytes` is a typed [`RunError::DenseBudgetExceeded`],
+    /// checked before allocating.
+    pub(crate) fn fresh(
+        alg: &A,
+        g: &Graph,
+        strategy: EngineStrategy,
+        budget_bytes: Option<u64>,
+    ) -> Result<Self, RunError> {
+        let n = g.n();
+        let requested = DenseBlock::<A::S>::bytes_for(n, n);
+        if let Some(budget) = budget_bytes {
+            if requested > budget {
+                return Err(RunError::DenseBudgetExceeded {
+                    requested_bytes: requested,
+                    budget_bytes: budget,
+                });
+            }
+        }
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
+        let block = initial_block(alg, n);
+        let mut engine = DenseEngine::new(strategy);
+        engine.mark_all_dirty(g);
+        Ok(DenseBackend { engine, block })
+    }
+
+    /// The checkpoint's states converted into a fresh block, with
+    /// exactly its recorded frontier seeded.
+    pub(crate) fn resume(
+        alg: &A,
+        g: &Graph,
+        strategy: EngineStrategy,
+        ckpt: &Checkpoint<A::M>,
+    ) -> Self {
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
+        let block = DenseBlock::from_states(&ckpt.states, g.n());
+        let mut engine = DenseEngine::new(strategy);
+        engine.ensure_sized(g);
+        engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        DenseBackend { engine, block }
+    }
+}
+
+impl<A: DenseMbfAlgorithm> Backend<A> for DenseBackend<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    fn hop(&mut self, alg: &A, g: &Graph) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.block, 1.0)
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        self.engine.frontier()
+    }
+
+    fn capture(&self) -> Vec<A::M> {
+        self.block.export()
+    }
+
+    fn finish(self) -> (Vec<A::M>, Vec<Degradation>) {
+        (self.block.export(), Vec::new())
     }
 }
 
@@ -668,6 +712,27 @@ where
             changed_scratch: Vec::new(),
             frontier_scratch: Vec::new(),
         }
+    }
+
+    /// A fresh engine with the checkpoint's states assigned in: every
+    /// vertex dirty — a sound *superset* of the recorded frontier, so
+    /// the extra recomputations are provable identities — and only the
+    /// states that differ from `r^V x⁽⁰⁾` rewritten.
+    pub(crate) fn resume(
+        alg: &A,
+        g: &Graph,
+        strategy: EngineStrategy,
+        thresholds: SwitchThresholds,
+        ckpt: &Checkpoint<A::M>,
+    ) -> Self {
+        let mut engine = SwitchingEngine::new(alg, g, strategy, thresholds);
+        let fresh = initial_states(alg, g.n());
+        for (v, (state, init)) in ckpt.states.iter().zip(&fresh).enumerate() {
+            if state != init {
+                engine.assign_dirty(alg, g, v as NodeId, state);
+            }
+        }
+        engine
     }
 
     /// Degradations this engine took so far (declined dense flips).
@@ -842,6 +907,28 @@ where
     }
 }
 
+impl<A: DenseMbfAlgorithm> Backend<A> for SwitchingEngine<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    fn hop(&mut self, alg: &A, g: &Graph) -> (WorkStats, bool) {
+        self.step(alg, g, 1.0)
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        SwitchingEngine::frontier(self)
+    }
+
+    fn capture(&self) -> Vec<A::M> {
+        self.export_states()
+    }
+
+    fn finish(self) -> (Vec<A::M>, Vec<Degradation>) {
+        (self.export_states(), self.degradations)
+    }
+}
+
 /// Iterates the representation-switching engine to the fixpoint, capped
 /// at `cap` hops; bit-identical states/iterations/fixpoint to the
 /// single-representation runs.
@@ -857,24 +944,11 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    let mut engine = SwitchingEngine::new(alg, g, strategy, thresholds);
-    let mut work = WorkStats::new();
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
-        }
-    }
-    MbfRun {
-        states: engine.export_states(),
-        iterations,
-        fixpoint,
-        work,
+    let backend = SwitchingEngine::new(alg, g, strategy, thresholds);
+    let policy = CheckpointPolicy::disabled();
+    match drive(alg, g, backend, 0, cap, policy, |_| Ok(())) {
+        Ok((run, _)) => run,
+        Err(e) => unreachable!("no-op sink cannot fail: {e}"),
     }
 }
 
@@ -894,35 +968,8 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    let (run, degradations) = crate::error::run_guarded(|| {
-        let mut engine = SwitchingEngine::new(alg, g, strategy, thresholds);
-        let mut work = WorkStats::new();
-        let mut iterations = 0;
-        let mut fixpoint = false;
-        while iterations < cap {
-            let (w, changed) = engine.step(alg, g, 1.0);
-            work += w;
-            iterations += 1;
-            if !changed {
-                fixpoint = true;
-                break;
-            }
-        }
-        let run = MbfRun {
-            states: engine.export_states(),
-            iterations,
-            fixpoint,
-            work,
-        };
-        (run, engine.degradations().to_vec())
-    })?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations,
-    };
-    Ok((run, report))
+    let policy = CheckpointPolicy::disabled();
+    try_run_checkpointed_switching_with(alg, g, cap, strategy, thresholds, policy, |_| Ok(()))
 }
 
 /// Guarded [`run_to_fixpoint_dense_with`] with an explicit memory
@@ -942,24 +989,8 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    let n = g.n();
-    let requested = DenseBlock::<A::S>::bytes_for(n, n);
-    if let Some(budget) = budget_bytes {
-        if requested > budget {
-            return Err(RunError::DenseBudgetExceeded {
-                requested_bytes: requested,
-                budget_bytes: budget,
-            });
-        }
-    }
-    let run = crate::error::run_guarded(|| run_to_fixpoint_dense_with(alg, g, cap, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+    let policy = CheckpointPolicy::disabled();
+    try_run_checkpointed_dense_with(alg, g, cap, strategy, budget_bytes, policy, |_| Ok(()))
 }
 
 // ---------------------------------------------------------------------
@@ -1181,23 +1212,10 @@ where
     }
 }
 
-/// Dense oracle with the production carry-over schedule.
-pub fn oracle_run_dense_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
-where
-    A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
-    A::M: DenseState<A::S>,
-{
-    oracle_run_dense_with_schedule(alg, sim, h, strategy, true)
-}
-
-/// Iterates the dense oracle to a fixpoint, capped at `cap` simulated
-/// iterations (the capped run *is* the run-to-fixpoint — the fixpoint
-/// check stops early).
+/// Iterates the dense oracle to a fixpoint under the production
+/// carry-over schedule, capped at `cap` simulated iterations (the
+/// capped run *is* the run-to-fixpoint — the fixpoint check stops
+/// early).
 pub fn oracle_run_dense_to_fixpoint_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -1208,7 +1226,7 @@ where
     A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
     A::M: DenseState<A::S>,
 {
-    oracle_run_dense_with(alg, sim, cap, strategy)
+    oracle_run_dense_with_schedule(alg, sim, cap, strategy, true)
 }
 
 #[cfg(test)]

@@ -84,7 +84,8 @@
 //! merge-everything-then-filter reference (differential-tested by
 //! `tests/schedule_equivalence.rs`).
 
-use crate::error::{RunError, RunReport};
+use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
+use crate::error::{Degradation, RunError, RunReport};
 use crate::work::WorkStats;
 use mte_algebra::{Filter, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
@@ -906,26 +907,11 @@ pub fn run_to_fixpoint_with<A: MbfAlgorithm>(
     cap: usize,
     strategy: EngineStrategy,
 ) -> MbfRun<A::M> {
-    let mut states = initial_states(alg, g.n());
-    let mut engine = MbfEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut work = WorkStats::new();
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, &mut states, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
-        }
-    }
-    MbfRun {
-        states,
-        iterations,
-        fixpoint,
-        work,
+    let backend = OwnedBackend::fresh(alg, g, strategy);
+    let policy = CheckpointPolicy::disabled();
+    match drive(alg, g, backend, 0, cap, policy, |_| Ok(())) {
+        Ok((run, _)) => run,
+        Err(e) => unreachable!("no-op sink cannot fail: {e}"),
     }
 }
 
@@ -937,42 +923,64 @@ where
     run_to_fixpoint_with(alg, g, cap, EngineStrategy::default())
 }
 
-/// Guarded [`run_with`]: panics become typed errors, injected faults
-/// are audited, final states are sanity-scanned. On success the
-/// [`RunReport`] carries convergence and hop metadata.
-pub fn try_run_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    let run = crate::error::run_guarded(|| run_with(alg, g, h, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
-}
-
-/// Guarded [`run_to_fixpoint_with`] (see [`try_run_with`]). A run that
-/// exhausts `cap` without reaching the fixpoint is *not* an error; it
-/// returns `converged: false`.
+/// Guarded [`run_to_fixpoint_with`]: panics become typed errors,
+/// injected faults are audited, final states are sanity-scanned. On
+/// success the [`RunReport`] carries convergence and hop metadata; a
+/// run that exhausts `cap` without reaching the fixpoint is *not* an
+/// error, it returns `converged: false`.
 pub fn try_run_to_fixpoint_with<A: MbfAlgorithm>(
     alg: &A,
     g: &Graph,
     cap: usize,
     strategy: EngineStrategy,
 ) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    let run = crate::error::run_guarded(|| run_to_fixpoint_with(alg, g, cap, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+    let policy = CheckpointPolicy::disabled();
+    crate::checkpoint::try_run_checkpointed_with(alg, g, cap, strategy, policy, |_| Ok(()))
+}
+
+/// The owned backend of the fixpoint driver: an [`MbfEngine`] and the
+/// state vector it steps.
+pub(crate) struct OwnedBackend<A: MbfAlgorithm> {
+    engine: MbfEngine<A>,
+    states: Vec<A::M>,
+}
+
+impl<A: MbfAlgorithm> OwnedBackend<A> {
+    /// `r^V x⁽⁰⁾`, every vertex dirty.
+    pub(crate) fn fresh(alg: &A, g: &Graph, strategy: EngineStrategy) -> Self {
+        let states = initial_states(alg, g.n());
+        let mut engine = MbfEngine::new(strategy);
+        engine.mark_all_dirty(g);
+        OwnedBackend { engine, states }
+    }
+
+    /// The checkpoint's states with exactly its recorded frontier
+    /// seeded.
+    pub(crate) fn resume(g: &Graph, strategy: EngineStrategy, ckpt: &Checkpoint<A::M>) -> Self {
+        let states = ckpt.states.clone();
+        let mut engine = MbfEngine::new(strategy);
+        engine.prime(g);
+        engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        OwnedBackend { engine, states }
+    }
+}
+
+impl<A: MbfAlgorithm> Backend<A> for OwnedBackend<A> {
+    fn hop(&mut self, alg: &A, g: &Graph) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.states, 1.0)
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        self.engine.frontier()
+    }
+
+    fn capture(&self) -> Vec<A::M> {
+        self.states.clone()
+    }
+
+    fn finish(self) -> (Vec<A::M>, Vec<Degradation>) {
+        (self.states, Vec::new())
+    }
 }
 
 /// Applies a [`Filter`] component-wise to a state vector: the paper's

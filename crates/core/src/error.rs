@@ -18,6 +18,8 @@
 //! answered by the parser's typed error) are logged as *handled* and do
 //! not fail the audit.
 
+use crate::engine::MbfRun;
+use crate::oracle::OracleRun;
 use mte_algebra::{NodeId, Semimodule, Semiring};
 use mte_faults::{FaultKind, FaultSite, InjectedPanic};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -260,6 +262,57 @@ where
         }),
         None => Ok(()),
     }
+}
+
+/// What [`guarded`] reads off a finished engine or oracle run.
+pub(crate) trait Finished<M> {
+    /// The final state vector the post-run scan checks.
+    fn states(&self) -> &[M];
+    /// [`RunReport::converged`] and [`RunReport::hops`].
+    fn progress(&self) -> (bool, u64);
+}
+
+impl<M> Finished<M> for MbfRun<M> {
+    fn states(&self) -> &[M] {
+        &self.states
+    }
+
+    fn progress(&self) -> (bool, u64) {
+        (self.fixpoint, self.iterations as u64)
+    }
+}
+
+impl<M> Finished<M> for OracleRun<M> {
+    fn states(&self) -> &[M] {
+        &self.states
+    }
+
+    fn progress(&self) -> (bool, u64) {
+        (self.converged, self.hops)
+    }
+}
+
+/// The sequence every guarded (`try_*`) engine and oracle entry point
+/// shares: runs `f` under [`run_guarded`], scans its final states with
+/// [`check_states`], and reports convergence, hops, and the
+/// degradations `f` took.
+pub(crate) fn guarded<S, M, R>(
+    f: impl FnOnce() -> Result<(R, Vec<Degradation>), RunError>,
+) -> Result<(R, RunReport), RunError>
+where
+    S: Semiring,
+    M: Semimodule<S>,
+    R: Finished<M>,
+{
+    let (run, degradations) = run_guarded(f)??;
+    check_states::<S, M>(run.states())?;
+    let (converged, hops) = run.progress();
+    let report = RunReport {
+        converged,
+        hops,
+        degradations,
+    };
+    Ok((run, report))
 }
 
 // ---------------------------------------------------------------------
@@ -586,6 +639,49 @@ mod tests {
             ]
         );
         assert_eq!(report.degradations.len(), 2);
+    }
+
+    #[test]
+    fn checkpoint_naming_an_out_of_range_node_costs_one_retry() {
+        use crate::catalog::SourceDetection;
+        use crate::checkpoint::{try_resume_run_to_fixpoint_with, Checkpoint};
+        use crate::engine::{initial_states, try_run_to_fixpoint_with, EngineStrategy};
+        use mte_algebra::{Dist, DistanceMap};
+
+        // A decoded checkpoint can name a node the graph does not have:
+        // the resume must reject it as corrupt, so the ladder skips the
+        // second retry and goes straight to scratch.
+        let g = mte_graph::generators::path_graph(8, 1.0);
+        let alg = SourceDetection::k_ssp(g.n(), 2);
+        let mut states = initial_states(&alg, g.n());
+        states[2] = DistanceMap::from_entries(vec![(2, Dist::ZERO), (40, Dist::new(1.0))]);
+        let ckpt = Checkpoint {
+            hop: 1,
+            frontier: vec![2],
+            states,
+        };
+        let s = EngineStrategy::Frontier;
+        let cap = g.n() + 1;
+        let sup = Supervisor::new(RecoveryPolicy::default());
+        let (run, report) = sup
+            .run(|attempt| match attempt {
+                RecoveryAttempt::Primary => Err(boom()),
+                RecoveryAttempt::RetryFromCheckpoint { .. } => {
+                    try_resume_run_to_fixpoint_with(&alg, &g, cap, s, &ckpt)
+                }
+                RecoveryAttempt::Scratch => try_run_to_fixpoint_with(&alg, &g, cap, s),
+            })
+            .unwrap();
+        assert!(run.fixpoint);
+        assert_eq!(report.degradations.len(), 2, "{:?}", report.degradations);
+        assert!(matches!(
+            &report.degradations[0],
+            Degradation::CheckpointRetryFailed { attempt: 1, cause } if cause.contains("snapshot")
+        ));
+        assert!(matches!(
+            report.degradations[1],
+            Degradation::RecomputedFromScratch { .. }
+        ));
     }
 
     #[test]

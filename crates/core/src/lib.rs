@@ -35,9 +35,10 @@
 //!   a supervisor that re-executes failed hops deterministically and
 //!   quarantines repeatedly-failing shards,
 //! * [`work`] — work/depth accounting used by the experiments,
-//! * [`checkpoint`] — checkpointed, resumable fixpoint runs across all
-//!   backends (bit-identical resume), with the deterministic recovery
-//!   supervisor in [`error`].
+//! * [`checkpoint`] — the engine fixpoint loop every backend shares, and
+//!   checkpointed, resumable fixpoint runs across all backends
+//!   (bit-identical resume), with the deterministic recovery supervisor
+//!   in [`error`].
 
 pub mod arena;
 pub mod catalog;

@@ -612,28 +612,7 @@ where
     (next, work)
 }
 
-/// Runs up to `h` iterations of `alg` on `H` starting from `r^V x⁽⁰⁾`
-/// (Theorem 5.2 (1)), with the given inner-engine strategy.
-///
-/// The iteration map is deterministic, so a simulated `H`-iteration that
-/// changes nothing proves every later iteration is the identity: the run
-/// stops there, reports `fixpoint: true`, and `h_iterations` counts the
-/// iterations actually executed (including the confirming one) — it may
-/// be less than `h`. The returned states are bit-identical to burning
-/// all `h` iterations.
-pub fn oracle_run_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    oracle_run_with_schedule(alg, sim, h, strategy, true)
-}
-
-/// [`oracle_run_with`] with the level schedule made explicit:
+/// [`oracle_run_to_fixpoint_with`] with the level schedule made explicit:
 /// `carry_over: true` (the default everywhere else) carries each level's
 /// buffer into the next round — its closure if the level reached its
 /// fixpoint, else a diff against the fresh projection — and seeds only
@@ -712,17 +691,17 @@ where
     })
 }
 
-/// Runs `h` iterations of `alg` on `H` under the default hybrid engine.
-pub fn oracle_run<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    oracle_run_with(alg, sim, h, EngineStrategy::default())
-}
-
 /// Iterates `alg` on `H` until a fixpoint, capped at `cap` iterations,
-/// with the given inner-engine strategy. W.h.p. the fixpoint arrives
-/// after `SPD(H) ∈ O(log² n)` iterations (Theorems 4.5 and 5.2 (2)).
+/// with the given inner-engine strategy, starting from `r^V x⁽⁰⁾`
+/// (Theorem 5.2 (1)). W.h.p. the fixpoint arrives after
+/// `SPD(H) ∈ O(log² n)` iterations (Theorems 4.5 and 5.2 (2)).
+///
+/// The iteration map is deterministic, so a simulated `H`-iteration that
+/// changes nothing proves every later iteration is the identity: the run
+/// stops there, reports `fixpoint: true`, and `h_iterations` counts the
+/// iterations actually executed (including the confirming one) — it may
+/// be less than `cap`. The returned states are bit-identical to burning
+/// all `cap` iterations, so the capped run *is* `A^cap(H)`.
 pub fn oracle_run_to_fixpoint_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -733,9 +712,7 @@ where
     A: MbfAlgorithm<S = MinPlus>,
     A::M: PartialEq,
 {
-    // `oracle_run_with` detects the fixpoint and stops early, so the
-    // capped run *is* the run-to-fixpoint.
-    oracle_run_with(alg, sim, cap, strategy)
+    oracle_run_with_schedule(alg, sim, cap, strategy, true)
 }
 
 /// Iterates `alg` on `H` to a fixpoint under the default hybrid engine.
@@ -747,29 +724,10 @@ where
     oracle_run_to_fixpoint_with(alg, sim, cap, EngineStrategy::default())
 }
 
-/// Guarded [`oracle_run_with`]: panics become typed errors, injected
-/// faults are audited, final states are sanity-scanned. An exhausted
-/// iteration budget is reported as `converged: false`, not an error.
-pub fn try_oracle_run_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> Result<(OracleRun<A::M>, crate::error::RunReport), crate::error::RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    let run = crate::error::run_guarded(|| oracle_run_with(alg, sim, h, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = crate::error::RunReport {
-        converged: run.converged,
-        hops: run.hops,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
-}
-
-/// Guarded [`oracle_run_to_fixpoint_with`] (see [`try_oracle_run_with`]).
+/// Guarded [`oracle_run_to_fixpoint_with`]: panics become typed errors,
+/// injected faults are audited, final states are sanity-scanned. An
+/// exhausted iteration budget is reported as `converged: false`, not an
+/// error.
 pub fn try_oracle_run_to_fixpoint_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -780,7 +738,8 @@ where
     A: MbfAlgorithm<S = MinPlus>,
     A::M: PartialEq,
 {
-    try_oracle_run_with(alg, sim, cap, strategy)
+    let policy = crate::checkpoint::CheckpointPolicy::disabled();
+    crate::checkpoint::try_oracle_run_checkpointed_with(alg, sim, cap, strategy, policy, |_| Ok(()))
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with
@@ -838,7 +797,7 @@ mod tests {
         let h_explicit = sim.explicit_h();
         let alg = SourceDetection::apsp(g.n());
 
-        let o1 = oracle_run(&alg, &sim, 1);
+        let o1 = oracle_run_to_fixpoint(&alg, &sim, 1);
         let d1 = crate::engine::run(&alg, &h_explicit, 1);
         for v in 0..g.n() {
             assert!(
@@ -877,7 +836,7 @@ mod tests {
 
     #[test]
     fn fixed_iteration_budget_stops_at_fixpoint() {
-        // Regression: `oracle_run_with` used to hardcode `fixpoint: false`
+        // Regression: `oracle_run_to_fixpoint_with` used to hardcode `fixpoint: false`
         // and burn the whole budget even after the states stopped
         // changing. It must stop at the confirming iteration, report the
         // fixpoint, and still return the exact `A^h(H)` states.
@@ -886,7 +845,7 @@ mod tests {
         let sim = SimulatedGraph::without_hopset(&g, 31, 0.1, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
         let budget = 10_000;
-        let run = oracle_run(&alg, &sim, budget);
+        let run = oracle_run_to_fixpoint(&alg, &sim, budget);
         assert!(run.fixpoint, "fixpoint not reported");
         assert!(
             run.h_iterations < budget,
@@ -898,7 +857,7 @@ mod tests {
         assert!(run.converged);
         assert_eq!(run.hops, fix.hops);
         // A budget too small to converge reports honestly.
-        let short = oracle_run(&alg, &sim, 1);
+        let short = oracle_run_to_fixpoint(&alg, &sim, 1);
         assert!(!short.fixpoint);
         assert!(!short.converged);
         assert_eq!(short.h_iterations, 1);
