@@ -788,22 +788,10 @@ pub fn relax_rows_tracked<S: DenseKernel>(dst: &mut [S], base: &[S], srcs: &[(&[
 /// destination element before the kernel runs.
 #[inline]
 fn dense_kernel_fault<S: Semiring>(dst: &mut [S]) {
-    match mte_faults::check_for(
-        mte_faults::FaultSite::DenseRowKernel,
-        &[
-            mte_faults::FaultKind::Panic,
-            mte_faults::FaultKind::PoisonNan,
-        ],
-    ) {
-        Some(mte_faults::FaultKind::Panic) => {
-            mte_faults::trigger_panic(mte_faults::FaultSite::DenseRowKernel)
+    if mte_faults::check_panic_or_poison(mte_faults::FaultSite::DenseRowKernel) {
+        if let Some(d) = dst.first_mut() {
+            d.poison();
         }
-        Some(mte_faults::FaultKind::PoisonNan) => {
-            if let Some(d) = dst.first_mut() {
-                d.poison();
-            }
-        }
-        _ => {}
     }
 }
 

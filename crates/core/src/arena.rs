@@ -80,25 +80,19 @@
 //!   every absorbed entry. Skipping them changes neither the admitted
 //!   set nor `entries_processed`.
 //!
-//! The oracle variant ([`oracle_run_arena_with_schedule`]) runs its
-//! `Λ + 1` level contributions over one shared arena scratch — a pool
-//! lane and span table per level inside a single structure, `O(Λ)`
-//! buffers total instead of the owned path's `Θ(Λ·n)` per-vertex maps —
-//! with the same schedules as
-//! [`crate::oracle::oracle_run_with_schedule`]: a level that reached
-//! its fixpoint carries its closure into the next round and folds in
-//! only the changed `x`-slots; a hop-limited level falls back to the
-//! frontier-sized projection diff (the `crate::oracle` module docs hold
-//! the proof that both are bit-identical to the restart).
+//! The oracle's arena lane ([`oracle_run_arena_with_schedule`]) keeps
+//! each level's `y_λ` in its own pool lane — `O(Λ)` buffers in total
+//! instead of `Θ(Λ·n)` per-vertex maps — and runs the one oracle loop of
+//! [`crate::oracle`].
 
 use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
 use crate::error::{Degradation, RunError, RunReport};
-use crate::oracle::{aggregation_set, LevelCarry, LevelStart, OracleRun};
+use crate::oracle::{run_lanes, Lane, Level, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut, StoreStats};
-use mte_algebra::{Dist, DistanceMap, MinPlus, NodeId};
+use mte_algebra::{Dist, DistanceMap, MinPlus, NodeId, Semimodule};
 use mte_graph::Graph;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -342,7 +336,7 @@ fn storage_work(stats: StoreStats) -> WorkStats {
 
 /// Storage-counter delta between two snapshots (`arena_bytes` is a
 /// high-water mark: the later snapshot wins).
-fn storage_delta(before: StoreStats, after: StoreStats) -> WorkStats {
+pub(crate) fn storage_delta(before: StoreStats, after: StoreStats) -> WorkStats {
     WorkStats {
         bytes_copied: after.bytes_copied - before.bytes_copied,
         alloc_count: after.alloc_count - before.alloc_count,
@@ -734,41 +728,106 @@ impl<A: ArenaMbfAlgorithm> Backend<A> for ArenaBackend {
 }
 
 // ---------------------------------------------------------------------
-// The arena oracle: Λ+1 level contributions over one shared arena
-// scratch.
+// The arena oracle: Λ+1 level lanes over one shared arena scratch.
 // ---------------------------------------------------------------------
 
-/// One level's slice of the shared oracle arena: a pool lane + span
-/// table (its `y_λ` vector), the engine driving it, and the carry-over
-/// bookkeeping every oracle shares.
-struct ArenaLevel {
+/// The arena lane: `y_λ` as one pool lane and span table, stepped by an
+/// [`ArenaEngine`] — `O(Λ)` buffers in total, no per-vertex maps.
+pub(crate) struct ArenaLevel {
     engine: ArenaEngine,
     store: EpochStore,
-    carry: LevelCarry,
 }
 
-impl ArenaLevel {
-    fn new(strategy: EngineStrategy, n: usize, ranked: bool) -> Self {
+impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLevel {
+    type X = Vec<DistanceMap>;
+    type Staged = DistanceMap;
+
+    fn new(strategy: EngineStrategy, n: usize) -> Self {
         let mut engine = ArenaEngine::new(strategy);
         engine.enable_change_log();
         ArenaLevel {
             engine,
-            store: EpochStore::with_rank_column(n, ranked),
-            carry: LevelCarry::new(),
+            store: EpochStore::with_rank_column(n, A::USES_RANK_COLUMN),
+        }
+    }
+
+    fn project(&mut self, alg: &A, x: &Self::X, v: NodeId, keep: bool) -> bool {
+        let want: &[(NodeId, Dist)] = if keep { x[v as usize].entries() } else { &[] };
+        let differs = self.store.get(v).entries != want;
+        if differs {
+            self.store.assign(v, want, |u| alg.entry_aux(u));
+        }
+        differs
+    }
+
+    /// Appends the merged span only when it differs, so a round after a
+    /// small aggregation change copies a handful of spans instead of
+    /// re-projecting the lane.
+    fn absorb(&mut self, alg: &A, x: &Self::X, v: NodeId) -> bool {
+        with_arena_acc(|acc| {
+            acc.assign_from_entries(self.store.get(v).entries);
+            acc.merge_min_entries(x[v as usize].entries());
+            alg.filter(acc);
+            let changed = acc.entries() != self.store.get(v).entries;
+            if changed {
+                self.store.assign(v, acc.entries(), |u| alg.entry_aux(u));
+            }
+            changed
+        })
+    }
+
+    fn poison(&mut self, alg: &A) {
+        if !self.store.is_empty() {
+            let mut state = self.store.get_raw(0).to_map();
+            state.poison();
+            self.store.assign(0, state.entries(), |u| alg.entry_aux(u));
+        }
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>) {
+        match seeds {
+            None => self.engine.mark_all_dirty(g),
+            Some(seeds) => self.engine.mark_dirty(g, seeds.iter().copied()),
+        }
+    }
+
+    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.store, scale)
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn store_stats(&self) -> StoreStats {
+        self.store.stats()
+    }
+
+    fn folder<'a>(
+        alg: &'a A,
+        x: &'a mut Self::X,
+    ) -> impl Fn(&[Level<Self>], NodeId) -> Option<DistanceMap> + Sync + 'a {
+        let x: &Self::X = x;
+        move |lanes, v| {
+            let mut acc = DistanceMap::new();
+            for level in lanes {
+                acc.merge_min_entries(level.lane.store.get(v).entries);
+            }
+            alg.filter(&mut acc);
+            (acc != x[v as usize]).then_some(acc)
+        }
+    }
+
+    fn commit(x: &mut Self::X, staged: Vec<(NodeId, DistanceMap)>) {
+        for (v, m) in staged {
+            x[v as usize] = m;
         }
     }
 }
 
-/// [`crate::oracle::oracle_run_with_schedule`] on the arena backend:
-/// each of the `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x`
-/// lives in a lane of one shared arena scratch (`O(Λ)` buffers total —
-/// no per-vertex maps), with the same two carry-over schedules and
-/// frontier-sized aggregation as the owned oracle. A level whose last
-/// round closed keeps its closure lane and appends only the merged
-/// `r(y_λ[v] ⊕ x[v])` spans of the changed `x`-slots, so a round after
-/// a small aggregation change copies a handful of spans instead of
-/// re-projecting the lane. Bit-identical states, iteration counts, and
-/// fixpoint flags; only the storage counters differ.
+/// [`crate::oracle::oracle_run_with_schedule`] on arena lanes: the same
+/// loop, bit-identical states, iteration counts, and fixpoint flags;
+/// only the storage counters differ.
 pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -776,188 +835,8 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     strategy: EngineStrategy,
     carry_over: bool,
 ) -> OracleRun<DistanceMap> {
-    let n = sim.augmented().n();
-    let mut states: Vec<DistanceMap> = initial_states(alg, n);
-    let lambda_max = sim.levels().lambda() as usize;
-    let mut levels: Vec<ArenaLevel> = (0..=lambda_max)
-        .map(|_| ArenaLevel::new(strategy, n, A::USES_RANK_COLUMN))
-        .collect();
-    let mut work = WorkStats::new();
-    let mut executed = 0;
-    let mut fixpoint = false;
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-
-    while executed < h {
-        let x: &[DistanceMap] = &states;
-        let x_changed = if carry_over {
-            prev_changed.as_deref()
-        } else {
-            None
-        };
-        // Level phase: independent contributions, one parallel task per
-        // level, all writing their own arena lane.
-        work += levels
-            .par_iter_mut()
-            .with_min_len(1)
-            .enumerate()
-            .map(|(lambda, level)| {
-                let lambda = lambda as u32;
-                let scale = sim.level_scale(lambda);
-                let start = level.carry.start(carry_over, x_changed);
-                let before = level.store.stats();
-                let aug = sim.augmented();
-                match start {
-                    LevelStart::Closure(changed) => {
-                        // Closure carry-over: fold the changed x-slots
-                        // into the closed lane, y_λ[v] ← r(y_λ[v] ⊕ x[v]).
-                        let ArenaLevel { store, carry, .. } = level;
-                        with_arena_acc(|acc| {
-                            for &v in changed {
-                                if sim.levels().level(v) < lambda {
-                                    continue;
-                                }
-                                acc.assign_from_entries(store.get(v).entries);
-                                acc.merge_min_entries(x[v as usize].entries());
-                                alg.filter(acc);
-                                if acc.entries() != store.get(v).entries {
-                                    store.assign(v, acc.entries(), |u| alg.entry_aux(u));
-                                    carry.seeds.push(v);
-                                }
-                            }
-                        });
-                    }
-                    LevelStart::Wholesale | LevelStart::FullDiff => {
-                        // Compare-and-assign every slot against the fresh
-                        // projection P_λ x (writing an identical state is
-                        // a no-op, so the compare is sound for the
-                        // wholesale reference too).
-                        for v in 0..n as NodeId {
-                            let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
-                                x[v as usize].entries()
-                            } else {
-                                &[]
-                            };
-                            if level.store.get(v).entries != want {
-                                level.store.assign(v, want, |u| alg.entry_aux(u));
-                                level.carry.seeds.push(v);
-                            }
-                        }
-                    }
-                    LevelStart::FrontierDiff(changed) => {
-                        // Frontier-sized diff: walk the sorted union of
-                        // the slots this level moved last round and the
-                        // x-slots the aggregation changed (see the oracle
-                        // module docs for why nothing else can disagree).
-                        let ArenaLevel { store, carry, .. } = level;
-                        carry.frontier_diff(changed, |v| {
-                            let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
-                                x[v as usize].entries()
-                            } else {
-                                &[]
-                            };
-                            let differs = store.get(v).entries != want;
-                            if differs {
-                                store.assign(v, want, |u| alg.entry_aux(u));
-                            }
-                            differs
-                        });
-                    }
-                }
-                if start == LevelStart::Wholesale {
-                    level.engine.mark_all_dirty(aug);
-                } else {
-                    level
-                        .engine
-                        .mark_dirty(aug, level.carry.seeds.iter().copied());
-                }
-                // Rewrite copy traffic (the hops account themselves).
-                let mut work = storage_delta(before, level.store.stats());
-                let mut closed = false;
-                for _ in 0..sim.d() {
-                    let (w, changed) = level.engine.step(alg, aug, &mut level.store, scale);
-                    work += w;
-                    if !changed {
-                        closed = true;
-                        break;
-                    }
-                }
-                level
-                    .carry
-                    .finish(start, closed, |moved| level.engine.drain_change_log(moved));
-                work
-            })
-            .reduce(WorkStats::new, |mut a, b| {
-                a += b;
-                a
-            });
-        executed += 1;
-
-        // Frontier-sized aggregation, folding spans in ascending-λ
-        // order (identical combination order and kernels as the owned
-        // oracle's fold).
-        let recompute = aggregation_set(levels.iter().map(|l| &l.carry));
-        let levels_ref: &[ArenaLevel] = &levels;
-        let x_ref: &[DistanceMap] = &states;
-        let fold = |v: NodeId| -> DistanceMap {
-            let node_level = sim.levels().level(v);
-            let mut acc = DistanceMap::new();
-            for (lambda, level) in levels_ref.iter().enumerate() {
-                if node_level >= lambda as u32 {
-                    acc.merge_min_entries(level.store.get(v).entries);
-                }
-            }
-            alg.filter(&mut acc);
-            acc
-        };
-        let changed: Vec<(NodeId, DistanceMap)> = match recompute.as_deref() {
-            None => (0..n as NodeId)
-                .into_par_iter()
-                .flat_map_iter(|v| {
-                    let acc = fold(v);
-                    if acc != x_ref[v as usize] {
-                        Some((v, acc))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-            Some(list) => list
-                .par_iter()
-                .flat_map_iter(|&v| {
-                    let acc = fold(v);
-                    if acc != x_ref[v as usize] {
-                        Some((v, acc))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        };
-        if changed.is_empty() {
-            fixpoint = true;
-            break;
-        }
-        let mut ids: Vec<NodeId> = Vec::with_capacity(changed.len());
-        for (v, m) in changed {
-            ids.push(v);
-            states[v as usize] = m;
-        }
-        prev_changed = Some(ids);
-    }
-
-    // The Λ+1 level pools are live *simultaneously*: the run's true
-    // arena high-water mark is the sum of the per-level peaks, not the
-    // max the per-hop tallies fold to.
-    work.arena_bytes = levels.iter().map(|l| l.store.stats().arena_bytes).sum();
-
-    OracleRun {
-        states,
-        h_iterations: executed,
-        fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
-        work,
-    }
+    let states = initial_states(alg, sim.augmented().n());
+    run_lanes::<A, ArenaLevel>(alg, sim, h, strategy, carry_over, states)
 }
 
 /// Iterates the arena oracle to a fixpoint under the production

@@ -50,7 +50,7 @@ use crate::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use crate::dense::{DenseBackend, DenseMbfAlgorithm, SwitchThresholds, SwitchingEngine};
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use crate::error::{guarded, Degradation, RunError, RunReport};
-use crate::oracle::{oracle_loop, OracleRun};
+use crate::oracle::{fresh_levels, oracle_loop, LevelScratch, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{DenseKernel, DenseState};
@@ -432,8 +432,9 @@ where
     A: MbfAlgorithm<S = MinPlus>,
 {
     guarded::<A::S, _, _>(|| {
+        let levels = &mut fresh_levels::<A, LevelScratch<A>>(sim, strategy);
         let states = initial_states(alg, sim.augmented().n());
-        let run = oracle_loop(alg, sim, h, strategy, true, states, 0, |round, states| {
+        let run = oracle_loop(alg, sim, h, true, levels, states, 0, |round, states| {
             if policy.level_due(round as u64) {
                 sink(&Checkpoint {
                     hop: round as u64,
@@ -449,7 +450,7 @@ where
 
 /// Guarded resume of an oracle run from a checkpoint: re-enters the
 /// simulated-iteration loop at the recorded round with the recorded
-/// aggregate states and fresh level scratch. Bit-identical states and
+/// aggregate states and fresh levels. Bit-identical states and
 /// round counts.
 pub fn try_resume_oracle_run_with<A>(
     alg: &A,
@@ -463,9 +464,10 @@ where
 {
     validate_checkpoint::<A::S, _>(ckpt, sim.augmented().n())?;
     guarded::<A::S, _, _>(|| {
+        let levels = &mut fresh_levels::<A, LevelScratch<A>>(sim, strategy);
         let states = ckpt.states.clone();
         let hop = ckpt.hop as usize;
-        let run = oracle_loop(alg, sim, h, strategy, true, states, hop, |_, _| Ok(()))?;
+        let run = oracle_loop(alg, sim, h, true, levels, states, hop, |_, _| Ok(()))?;
         Ok((run, Vec::new()))
     })
 }

@@ -53,20 +53,12 @@
 //!
 //! # Oracle routing
 //!
-//! [`oracle_run_dense_with_schedule`] computes the same `Λ + 1` level
-//! contributions `P_λ (r^V A_λ)^d P_λ x` as the owned/arena oracles, but
-//! keeps every level vector `y_λ` and the aggregate `x` as dense blocks.
-//! It takes the same per-level schedule as they do, chosen in one place
-//! (`oracle::LevelCarry::start`, see the [`crate::oracle`] module docs):
-//! a level that reached its fixpoint within `d` hops carries its closure
-//! into the next round and folds in only the changed `x`-rows
-//! (`y_λ[v] ← r(y_λ[v] ⊕ x[v])` through [`fold_row_into`] and
-//! [`DenseMbfAlgorithm::dense_filter`]); a hop-limited level compares
-//! and copies rows in the frontier-sized projection diff. The
-//! aggregation folds level rows in ascending-λ order through
-//! [`fold_row_into`]. States, iteration counts and fixpoint flags are
-//! bit-identical to the owned oracle: min over `f64` is exact and
-//! `dense_filter ≡ filter`, so the row-wise fold is the owned fold.
+//! [`oracle_run_dense_with_schedule`] runs the one oracle loop of
+//! [`crate::oracle`] on dense lanes: every level vector `y_λ` and the
+//! aggregate `x` are blocks, and the lane's slot work is row-wise
+//! ([`fold_row_into`], [`DenseMbfAlgorithm::dense_filter`]). Min over
+//! `f64` is exact and `dense_filter ≡ filter`, so states, iteration
+//! counts and fixpoint flags are bit-identical to the owned oracle.
 //! `approximate_metric_on` (Theorem 6.1 — the APSP query, whose output
 //! *is* an `n × n` matrix) routes through it.
 
@@ -78,14 +70,14 @@ use crate::engine::{
     initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
 };
 use crate::error::{Degradation, RunError, RunReport};
-use crate::oracle::{aggregation_set, LevelCarry, LevelStart, OracleRun};
+use crate::oracle::{run_lanes, Lane, Level, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{
     fold_row_into, relax_rows_into, relax_rows_tracked, rows_equal, DenseBlock, DenseKernel,
     DenseState,
 };
-use mte_algebra::{NodeId, Semimodule, Semiring};
+use mte_algebra::{MinPlus, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
 use rayon::prelude::*;
 
@@ -401,22 +393,10 @@ where
         // Fault-injection site: the hop's commit just completed; a
         // `panic` unwinds mid-run, a `poison_nan` corrupts one matrix
         // element.
-        match mte_faults::check_for(
-            mte_faults::FaultSite::EngineHopCommit,
-            &[
-                mte_faults::FaultKind::Panic,
-                mte_faults::FaultKind::PoisonNan,
-            ],
-        ) {
-            Some(mte_faults::FaultKind::Panic) => {
-                mte_faults::trigger_panic(mte_faults::FaultSite::EngineHopCommit)
+        if mte_faults::check_panic_or_poison(mte_faults::FaultSite::EngineHopCommit) {
+            if let Some(s) = block.values_mut().first_mut() {
+                Semiring::poison(s);
             }
-            Some(mte_faults::FaultKind::PoisonNan) => {
-                if let Some(s) = block.values_mut().first_mut() {
-                    Semiring::poison(s);
-                }
-            }
-            _ => {}
         }
 
         let work = WorkStats {
@@ -994,34 +974,141 @@ where
 }
 
 // ---------------------------------------------------------------------
-// The dense oracle: Λ+1 level contributions as dense blocks.
+// The dense oracle: Λ+1 level lanes as dense blocks.
 // ---------------------------------------------------------------------
 
-/// One level's slice of the dense oracle: its `y_λ` block, the engine
-/// driving it, the carry-over bookkeeping every oracle shares, and one
-/// reusable `k`-wide row for the closure fold `r(y_λ[v] ⊕ x[v])`.
-struct DenseLevel<A: DenseMbfAlgorithm>
+/// The dense oracle's aggregate: `x` as a block, the shadow block the
+/// aggregation folds into, and the `⊥` row that lanes project onto.
+pub(crate) struct DenseAggregate {
+    block: DenseBlock<MinPlus>,
+    shadow: Vec<MinPlus>,
+    zero_row: Vec<MinPlus>,
+}
+
+impl<M: DenseState<MinPlus>> From<Vec<M>> for DenseAggregate {
+    fn from(states: Vec<M>) -> Self {
+        let k = states.len();
+        DenseAggregate {
+            block: DenseBlock::from_states(&states, k),
+            shadow: vec![<MinPlus as Semiring>::zero(); k * k],
+            zero_row: vec![<MinPlus as Semiring>::zero(); k],
+        }
+    }
+}
+
+impl<M: DenseState<MinPlus>> From<DenseAggregate> for Vec<M> {
+    fn from(x: DenseAggregate) -> Self {
+        x.block.export()
+    }
+}
+
+/// The dense lane: `y_λ` as a block stepped by a [`DenseEngine`], plus
+/// one reusable `k`-wide row for the closure fold `r(y_λ[v] ⊕ x[v])`.
+pub(crate) struct DenseLevel<A: DenseMbfAlgorithm>
 where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
     engine: DenseEngine<A>,
     y: DenseBlock<A::S>,
-    carry: LevelCarry,
     acc: Vec<A::S>,
 }
 
-/// [`crate::oracle::oracle_run_with_schedule`] on the dense backend:
-/// every level vector `y_λ` and the aggregate `x` live as
-/// [`DenseBlock`]s, and the level schedules of the owned/arena oracles
-/// run row-wise. A level whose last round closed keeps its closure
-/// block and folds only the changed `x`-rows into it through
-/// [`fold_row_into`] and [`DenseMbfAlgorithm::dense_filter`]; a
-/// hop-limited level compares and copies rows in the frontier-sized
-/// projection diff. The aggregation folds level rows in ascending-λ
-/// order with the filter fused in. Bit-identical states, iteration
-/// counts, and fixpoint flags (only the work counters differ; see
-/// [`DenseEngine::step`]).
+impl<A> Lane<A> for DenseLevel<A>
+where
+    A: DenseMbfAlgorithm<S = MinPlus>,
+    A::M: DenseState<MinPlus>,
+{
+    type X = DenseAggregate;
+    type Staged = ();
+
+    fn new(strategy: EngineStrategy, n: usize) -> Self {
+        let mut engine = DenseEngine::new(strategy);
+        engine.enable_change_log();
+        DenseLevel {
+            engine,
+            y: DenseBlock::new(n, n),
+            acc: vec![<MinPlus as Semiring>::zero(); n],
+        }
+    }
+
+    fn project(&mut self, _: &A, x: &DenseAggregate, v: NodeId, keep: bool) -> bool {
+        let want = if keep { x.block.row(v) } else { &x.zero_row };
+        let differs = !rows_equal(self.y.row(v), want);
+        if differs {
+            self.y.row_mut(v).copy_from_slice(want);
+        }
+        differs
+    }
+
+    fn absorb(&mut self, alg: &A, x: &DenseAggregate, v: NodeId) -> bool {
+        self.acc.copy_from_slice(self.y.row(v));
+        fold_row_into(&mut self.acc, x.block.row(v));
+        alg.dense_filter(v, &mut self.acc);
+        let changed = !rows_equal(&self.acc, self.y.row(v));
+        if changed {
+            self.y.row_mut(v).copy_from_slice(&self.acc);
+        }
+        changed
+    }
+
+    fn poison(&mut self, _: &A) {
+        if let Some(s) = self.y.values_mut().first_mut() {
+            Semiring::poison(s);
+        }
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>) {
+        match seeds {
+            None => self.engine.mark_all_dirty(g),
+            Some(seeds) => self.engine.mark_dirty(g, seeds.iter().copied()),
+        }
+    }
+
+    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.y, scale)
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    /// Folds the level rows into the vertex's shadow row, filters, and
+    /// compares; the commit copies changed shadow rows into `x`.
+    fn folder<'a>(
+        alg: &'a A,
+        x: &'a mut DenseAggregate,
+    ) -> impl Fn(&[Level<Self>], NodeId) -> Option<()> + Sync + 'a {
+        let DenseAggregate { block, shadow, .. } = x;
+        let (block, k) = (&*block, block.cols());
+        let shadow_base = SyncPtr(shadow.as_mut_ptr());
+        move |lanes, v| {
+            // SAFETY: the loop folds distinct vertices (a range or a
+            // deduplicated list), so row windows are disjoint.
+            let dst: &mut [MinPlus] =
+                unsafe { std::slice::from_raw_parts_mut(shadow_base.slot(v as usize * k), k) };
+            dst.fill(<MinPlus as Semiring>::zero());
+            for level in lanes {
+                fold_row_into(dst, level.lane.y.row(v));
+            }
+            alg.dense_filter(v, dst);
+            (!rows_equal(&*dst, block.row(v))).then_some(())
+        }
+    }
+
+    fn commit(x: &mut DenseAggregate, staged: Vec<(NodeId, ())>) {
+        let k = x.block.cols();
+        for (v, ()) in staged {
+            let a = v as usize * k;
+            x.block.row_mut(v).copy_from_slice(&x.shadow[a..a + k]);
+        }
+    }
+}
+
+/// [`crate::oracle::oracle_run_with_schedule`] on dense lanes: every
+/// level vector `y_λ` and the aggregate `x` live as [`DenseBlock`]s.
+/// Bit-identical states, iteration counts, and fixpoint flags (only the
+/// work counters differ; see [`DenseEngine::step`]).
 pub fn oracle_run_dense_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -1030,186 +1117,15 @@ pub fn oracle_run_dense_with_schedule<A>(
     carry_over: bool,
 ) -> OracleRun<A::M>
 where
-    A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
+    A: DenseMbfAlgorithm<S = MinPlus>,
     A::M: DenseState<A::S>,
 {
     assert!(
         alg.advertises_dense(),
         "algorithm instance does not advertise dense states"
     );
-    let n = sim.augmented().n();
-    let k = n;
-    let mut x = DenseBlock::<A::S>::from_states(&initial_states(alg, n), k);
-    let zero_row = vec![<A::S as Semiring>::zero(); k];
-    let lambda_max = sim.levels().lambda() as usize;
-    let mut levels: Vec<DenseLevel<A>> = (0..=lambda_max)
-        .map(|_| {
-            let mut engine = DenseEngine::new(strategy);
-            engine.enable_change_log();
-            DenseLevel {
-                engine,
-                y: DenseBlock::new(n, k),
-                carry: LevelCarry::new(),
-                acc: zero_row.clone(),
-            }
-        })
-        .collect();
-    // Aggregation scratch: one shadow matrix reused across rounds.
-    let mut agg: Vec<A::S> = vec![<A::S as Semiring>::zero(); n * k];
-    let mut work = WorkStats::new();
-    let mut executed = 0;
-    let mut fixpoint = false;
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-
-    while executed < h {
-        let x_ref = &x;
-        let zero_row_ref: &[A::S] = &zero_row;
-        let x_changed = if carry_over {
-            prev_changed.as_deref()
-        } else {
-            None
-        };
-        // Level phase: independent contributions, one parallel task per
-        // level, each setting up its start rows and running d filtered
-        // hops on its own engine.
-        work += levels
-            .par_iter_mut()
-            .with_min_len(1)
-            .enumerate()
-            .map(|(lambda, level)| {
-                let lambda = lambda as u32;
-                let scale = sim.level_scale(lambda);
-                let aug = sim.augmented();
-                let start = level.carry.start(carry_over, x_changed);
-                match start {
-                    LevelStart::Closure(changed) => {
-                        // Closure carry-over: y_λ[v] ← r(y_λ[v] ⊕ x[v])
-                        // row-wise on the changed x-rows of this level.
-                        let DenseLevel { y, carry, acc, .. } = level;
-                        for &v in changed {
-                            if sim.levels().level(v) < lambda {
-                                continue;
-                            }
-                            acc.copy_from_slice(y.row(v));
-                            fold_row_into(acc, x_ref.row(v));
-                            alg.dense_filter(v, acc);
-                            if !rows_equal(acc, y.row(v)) {
-                                y.row_mut(v).copy_from_slice(acc);
-                                carry.seeds.push(v);
-                            }
-                        }
-                    }
-                    LevelStart::Wholesale | LevelStart::FullDiff => {
-                        for v in 0..n as NodeId {
-                            let want: &[A::S] = if sim.levels().level(v) >= lambda {
-                                x_ref.row(v)
-                            } else {
-                                zero_row_ref
-                            };
-                            if !rows_equal(level.y.row(v), want) {
-                                level.y.row_mut(v).copy_from_slice(want);
-                                level.carry.seeds.push(v);
-                            }
-                        }
-                    }
-                    LevelStart::FrontierDiff(changed) => {
-                        // Frontier-sized diff: only `moved_λ ∪ C` can
-                        // disagree with the fresh projection (see the
-                        // oracle module docs).
-                        let DenseLevel { y, carry, .. } = level;
-                        carry.frontier_diff(changed, |v| {
-                            let want: &[A::S] = if sim.levels().level(v) >= lambda {
-                                x_ref.row(v)
-                            } else {
-                                zero_row_ref
-                            };
-                            let differs = !rows_equal(y.row(v), want);
-                            if differs {
-                                y.row_mut(v).copy_from_slice(want);
-                            }
-                            differs
-                        });
-                    }
-                }
-                if start == LevelStart::Wholesale {
-                    level.engine.mark_all_dirty(aug);
-                } else {
-                    level
-                        .engine
-                        .mark_dirty(aug, level.carry.seeds.iter().copied());
-                }
-                let mut work = WorkStats::new();
-                let mut closed = false;
-                for _ in 0..sim.d() {
-                    let (w, changed) = level.engine.step(alg, aug, &mut level.y, scale);
-                    work += w;
-                    if !changed {
-                        closed = true;
-                        break;
-                    }
-                }
-                level
-                    .carry
-                    .finish(start, closed, |moved| level.engine.drain_change_log(moved));
-                work
-            })
-            .reduce(WorkStats::new, |mut a, b| {
-                a += b;
-                a
-            });
-        executed += 1;
-
-        // Frontier-sized aggregation: fold level rows in ascending-λ
-        // order into the scratch matrix, filter, and compare — only
-        // vertices some level moved can aggregate to a new value.
-        let recompute = aggregation_set(levels.iter().map(|l| &l.carry));
-        let levels_ref: &[DenseLevel<A>] = &levels;
-        let x_imm = &x;
-        let agg_base = SyncPtr(agg.as_mut_ptr());
-        let fold = |v: NodeId| -> bool {
-            // SAFETY: callers iterate distinct vertices (a range or a
-            // deduplicated list), so row windows are disjoint.
-            let dst: &mut [A::S] =
-                unsafe { std::slice::from_raw_parts_mut(agg_base.slot(v as usize * k), k) };
-            dst.fill(<A::S as Semiring>::zero());
-            let node_level = sim.levels().level(v);
-            for (lambda, level) in levels_ref.iter().enumerate() {
-                if node_level >= lambda as u32 {
-                    fold_row_into(dst, level.y.row(v));
-                }
-            }
-            alg.dense_filter(v, dst);
-            !rows_equal(&*dst, x_imm.row(v))
-        };
-        let changed_list: Vec<NodeId> = match recompute.as_deref() {
-            None => (0..n as NodeId)
-                .into_par_iter()
-                .flat_map_iter(|v| if fold(v) { Some(v) } else { None })
-                .collect(),
-            Some(list) => list
-                .par_iter()
-                .flat_map_iter(|&v| if fold(v) { Some(v) } else { None })
-                .collect(),
-        };
-        if changed_list.is_empty() {
-            fixpoint = true;
-            break;
-        }
-        for &v in &changed_list {
-            let a = v as usize * k;
-            x.row_mut(v).copy_from_slice(&agg[a..a + k]);
-        }
-        prev_changed = Some(changed_list);
-    }
-
-    OracleRun {
-        states: x.export(),
-        h_iterations: executed,
-        fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
-        work,
-    }
+    let states = initial_states(alg, sim.augmented().n());
+    run_lanes::<A, DenseLevel<A>>(alg, sim, h, strategy, carry_over, states)
 }
 
 /// Iterates the dense oracle to a fixpoint under the production
@@ -1223,7 +1139,7 @@ pub fn oracle_run_dense_to_fixpoint_with<A>(
     strategy: EngineStrategy,
 ) -> OracleRun<A::M>
 where
-    A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
+    A: DenseMbfAlgorithm<S = MinPlus>,
     A::M: DenseState<A::S>,
 {
     oracle_run_dense_with_schedule(alg, sim, cap, strategy, true)

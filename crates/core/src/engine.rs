@@ -788,22 +788,10 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
         // Fault-injection site: the hop's commit just completed; a
         // `panic` unwinds mid-run, a `poison_nan` corrupts one committed
         // state (the audit in `error::run_guarded` catches either).
-        match mte_faults::check_for(
-            mte_faults::FaultSite::EngineHopCommit,
-            &[
-                mte_faults::FaultKind::Panic,
-                mte_faults::FaultKind::PoisonNan,
-            ],
-        ) {
-            Some(mte_faults::FaultKind::Panic) => {
-                mte_faults::trigger_panic(mte_faults::FaultSite::EngineHopCommit)
+        if mte_faults::check_panic_or_poison(mte_faults::FaultSite::EngineHopCommit) {
+            if let Some(&v) = self.sched.touched().first() {
+                states[v as usize].poison();
             }
-            Some(mte_faults::FaultKind::PoisonNan) => {
-                if let Some(&v) = self.sched.touched().first() {
-                    states[v as usize].poison();
-                }
-            }
-            _ => {}
         }
 
         let work = WorkStats {

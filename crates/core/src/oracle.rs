@@ -14,21 +14,22 @@
 //! using only `G'`'s `O(m)` edges — `Λ·d ∈ polylog n` cheap iterations
 //! instead of one `Ω(n²)` dense product (Theorem 5.2).
 //!
-//! The inner `(r^V A_λ)^d` loops run on persistent [`MbfEngine`]s, one
-//! per level, that carry their buffer `y_λ` across simulated
+//! One loop, `oracle_loop`, runs every backend: the round schedule, the
+//! level fan-out, each level's `d`-hop loop, the aggregation and the
+//! fixpoint test. A backend supplies only a per-level **lane** (the
+//! crate-private `Lane` trait): the buffer `y_λ` and the engine that hops
+//! it. Lanes differ only in storage — a `Vec<M>` here (`LevelScratch`),
+//! an epoch-pool lane in [`crate::arena`], dense rows in
+//! [`crate::dense`]. A lane's engine carries `y_λ` across simulated
 //! `H`-iterations. Hops after a level's fixpoint are skipped outright —
 //! the iteration map is deterministic, so an unchanged state vector can
 //! never change again, and the result is bit-identical to running all
 //! `d` hops. A level's very first round rewrites `y_λ ← P_λ x`
 //! wholesale and sweeps all-dirty. Every later round takes one of two
-//! schedules, chosen by what the level's previous round observed; both
-//! are **bit-identical** to the all-dirty restart from `P_λ x`
-//! (asserted against [`oracle_run_with_schedule`] with `carry_over:
-//! false`, which keeps that restart as the reference). All three
-//! oracles — owned (this module), arena ([`crate::arena`]) and dense
-//! ([`crate::dense`]) — take their schedule from one decision,
-//! `LevelCarry::start`, and differ only in how they rewrite slots or
-//! rows.
+//! schedules, chosen by `LevelCarry::start` from what the level's
+//! previous round observed; both are **bit-identical** to the all-dirty
+//! restart from `P_λ x` (asserted against [`oracle_run_with_schedule`]
+//! with `carry_over: false`, which keeps that restart as the reference).
 //!
 //! **Closure carry-over** (the previous round reached the level's own
 //! fixpoint within its `d` hops). Then `y_λ` holds the closure
@@ -99,18 +100,22 @@
 //! The `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x` are mutually
 //! independent — they all read the same input vector `x` — so the level
 //! loop runs **in parallel** (one task per level, each with its own
-//! engine and level buffer `y_λ`, all reused across simulated
-//! `H`-iterations). The aggregation `⊕_λ P_λ y_λ` then runs parallel
-//! over *vertices*, each folding its level contributions in ascending-`λ`
-//! order — a fixed combination order independent of the thread count, so
-//! oracle outputs are bit-identical for every `MTE_THREADS` (asserted by
-//! the determinism suite). Per-level `WorkStats` merge through the same
-//! fixed-shape reduction tree.
+//! lane, reused across simulated `H`-iterations). The aggregation
+//! `⊕_λ P_λ y_λ` then runs parallel over *vertices*, each folding its
+//! level contributions in ascending-`λ` order — a fixed combination
+//! order independent of the thread count, so oracle outputs are
+//! bit-identical for every `MTE_THREADS` (asserted by the determinism
+//! suite). Per-level `WorkStats` merge through the same fixed-shape
+//! reduction tree.
 
+use crate::arena::storage_delta;
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfEngine};
+use crate::error::RunError;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
+use mte_algebra::store::StoreStats;
 use mte_algebra::{MinPlus, NodeId, Semimodule};
+use mte_graph::Graph;
 use rayon::prelude::*;
 
 /// Result of an oracle computation: the states `A^h(H)` and the cost of
@@ -134,60 +139,157 @@ pub struct OracleRun<M> {
     pub work: WorkStats,
 }
 
-/// Reusable per-level buffers: one engine (shadow vectors, frontier
-/// marks), one projected state vector and the level's carry-over
-/// bookkeeping per level task. Once the level has run its first round,
-/// `y` holds the level's own `(r^V A_λ)^d P_λ x` from the previous
-/// simulated iteration, the baseline the next round starts from.
-struct LevelScratch<A: MbfAlgorithm> {
+/// One level's buffer `y_λ` and the engine that hops it: all that
+/// differs between the owned, arena and dense oracles. [`oracle_loop`]
+/// is the rest.
+pub(crate) trait Lane<A: MbfAlgorithm>: Send + Sync + Sized {
+    /// The aggregate `x`, as the backend stores it, converting from and
+    /// to the plain states.
+    type X: From<Vec<A::M>> + Into<Vec<A::M>> + Sync;
+    /// A changed `x[v]`, staged by the fold until the round commits.
+    type Staged: Send;
+
+    /// A lane of `n` slots, all `⊥`.
+    fn new(strategy: EngineStrategy, n: usize) -> Self;
+    /// Rewrites slot `v` to `P_λ x[v]` — `x[v]` if `keep`, else `⊥` —
+    /// and returns whether it differed.
+    fn project(&mut self, alg: &A, x: &Self::X, v: NodeId, keep: bool) -> bool;
+    /// Sets slot `v` to `r(y_λ[v] ⊕ x[v])` and returns whether it
+    /// changed.
+    fn absorb(&mut self, alg: &A, x: &Self::X, v: NodeId) -> bool;
+    /// Corrupts one slot (the `oracle_level_loop` `poison_nan` fault).
+    fn poison(&mut self, alg: &A);
+    /// Seeds the engine with every vertex (`None`) or exactly `seeds`.
+    fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>);
+    /// One filtered hop `y ← r^V A_λ y`, edge weights times `scale`: the
+    /// work spent and whether any slot changed.
+    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
+    /// Appends the slots the hops changed since the last drain.
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
+    /// Storage counters, charging the start-state rewrite and the pool
+    /// peak; only the arena lane keeps any.
+    fn store_stats(&self) -> StoreStats {
+        StoreStats::default()
+    }
+    /// The aggregation's per-vertex fold for one round: `fold(lanes, v)`
+    /// folds `y_λ[v]` over `lanes` (the levels `λ ≤ level(v)`, ascending),
+    /// applies `r`, and stages the result iff it differs from `x[v]`.
+    /// Called in parallel, at most once per vertex.
+    fn folder<'a>(
+        alg: &'a A,
+        x: &'a mut Self::X,
+    ) -> impl Fn(&[Level<Self>], NodeId) -> Option<Self::Staged> + Sync + 'a;
+    /// Writes the staged values into `x`.
+    fn commit(x: &mut Self::X, staged: Vec<(NodeId, Self::Staged)>);
+}
+
+/// A lane and its carry-over bookkeeping.
+pub(crate) struct Level<L> {
+    pub(crate) lane: L,
+    carry: LevelCarry,
+}
+
+/// `Λ + 1` fresh levels for `sim`, each sized once for the run. They are
+/// unprimed, so every level's first round is the wholesale rewrite.
+pub(crate) fn fresh_levels<A: MbfAlgorithm, L: Lane<A>>(
+    sim: &SimulatedGraph,
+    strategy: EngineStrategy,
+) -> Vec<Level<L>> {
+    let n = sim.augmented().n();
+    (0..=sim.levels().lambda())
+        .map(|_| Level {
+            lane: L::new(strategy, n),
+            carry: LevelCarry::new(),
+        })
+        .collect()
+}
+
+/// The owned lane: `y_λ` as a `Vec<M>`, stepped by an [`MbfEngine`].
+pub(crate) struct LevelScratch<A: MbfAlgorithm> {
     engine: MbfEngine<A>,
     y: Vec<A::M>,
-    carry: LevelCarry,
     /// Scratch: the closure carry-over's `r(y_λ[v] ⊕ x[v])`.
     acc: A::M,
+    zero: A::M,
 }
 
-/// Reusable buffers for repeated oracle iterations: one [`LevelScratch`]
-/// per level, so the independent level tasks can run in parallel while
-/// still reusing their heap buffers across simulated `H`-iterations.
-struct OracleScratch<A: MbfAlgorithm> {
-    strategy: EngineStrategy,
-    /// `false` forces the all-dirty wholesale rewrite every round — the
-    /// PR 2 reference schedule, kept for ablation/differential testing.
-    carry_over: bool,
-    levels: Vec<LevelScratch<A>>,
-}
+impl<A: MbfAlgorithm> Lane<A> for LevelScratch<A> {
+    type X = Vec<A::M>;
+    type Staged = A::M;
 
-impl<A: MbfAlgorithm> OracleScratch<A> {
-    fn new(strategy: EngineStrategy, carry_over: bool) -> Self {
-        OracleScratch {
-            strategy,
-            carry_over,
-            levels: Vec::new(),
+    fn new(strategy: EngineStrategy, n: usize) -> Self {
+        let mut engine = MbfEngine::new(strategy);
+        engine.enable_change_log();
+        LevelScratch {
+            engine,
+            y: vec![A::M::zero(); n],
+            acc: A::M::zero(),
+            zero: A::M::zero(),
         }
     }
 
-    /// Sizes the per-level buffers for `num_levels` levels of `n` nodes.
-    fn ensure(&mut self, num_levels: usize, n: usize) {
-        while self.levels.len() < num_levels {
-            let mut engine = MbfEngine::new(self.strategy);
-            // The change log feeds the frontier-sized diff of the next
-            // round: which y-slots did this level's hops move?
-            engine.enable_change_log();
-            self.levels.push(LevelScratch {
-                engine,
-                y: Vec::new(),
-                carry: LevelCarry::new(),
-                acc: A::M::zero(),
-            });
+    fn project(&mut self, _: &A, x: &Self::X, v: NodeId, keep: bool) -> bool {
+        let want = if keep { &x[v as usize] } else { &self.zero };
+        let slot = &mut self.y[v as usize];
+        let differs = slot != want;
+        if differs {
+            // `clone_from` reuses the slot's heap buffer.
+            slot.clone_from(want);
         }
-        self.levels.truncate(num_levels);
-        for level in &mut self.levels {
-            if level.y.len() != n {
-                level.y.clear();
-                level.y.extend((0..n).map(|_| A::M::zero()));
-                level.carry = LevelCarry::new();
+        differs
+    }
+
+    fn absorb(&mut self, alg: &A, x: &Self::X, v: NodeId) -> bool {
+        let slot = &mut self.y[v as usize];
+        self.acc.clone_from(slot);
+        self.acc.add_assign(&x[v as usize]);
+        alg.filter(&mut self.acc);
+        let changed = self.acc != *slot;
+        if changed {
+            std::mem::swap(slot, &mut self.acc);
+        }
+        changed
+    }
+
+    fn poison(&mut self, _: &A) {
+        if let Some(slot) = self.y.first_mut() {
+            slot.poison();
+        }
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>) {
+        match seeds {
+            None => self.engine.mark_all_dirty(g),
+            Some(seeds) => self.engine.mark_dirty(g, seeds.iter().copied()),
+        }
+    }
+
+    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.y, scale)
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn folder<'a>(
+        alg: &'a A,
+        x: &'a mut Self::X,
+    ) -> impl Fn(&[Level<Self>], NodeId) -> Option<A::M> + Sync + 'a {
+        let x: &Self::X = x;
+        move |lanes, v| {
+            let mut acc = A::M::zero();
+            for level in lanes {
+                acc.add_assign(&level.lane.y[v as usize]);
             }
+            alg.filter(&mut acc);
+            (acc != x[v as usize]).then_some(acc)
+        }
+    }
+
+    fn commit(x: &mut Self::X, staged: Vec<(NodeId, A::M)>) {
+        for (v, m) in staged {
+            x[v as usize] = m;
         }
     }
 }
@@ -213,13 +315,11 @@ pub(crate) enum LevelStart<'a> {
 }
 
 /// A level's carry-over bookkeeping across simulated `H`-iterations,
-/// identical on all three oracles (owned, arena, dense): what the
-/// level's last round observed and which `y`-slots it moved.
-/// [`LevelCarry::start`] is the one place a round's schedule is chosen;
-/// each backend matches on the returned [`LevelStart`] and does its own
-/// row or slot work. A fresh value (a new level, a resized scratch, a
-/// checkpoint resume) is unprimed and unclosed, so its first round is
-/// the wholesale rewrite.
+/// the same for every lane: what the level's last round observed and
+/// which `y`-slots it moved. [`LevelCarry::start`] is the one place a
+/// round's schedule is chosen. A fresh value (a new level, a checkpoint
+/// resume) is unprimed and unclosed, so its first round is the
+/// wholesale rewrite.
 #[derive(Debug)]
 pub(crate) struct LevelCarry {
     /// The level has run a round: `y_λ` holds its previous result.
@@ -234,9 +334,8 @@ pub(crate) struct LevelCarry {
     /// The last round rewrote `y_λ` wholesale: the next diff must
     /// examine every slot and the aggregation cannot skip anything.
     moved_all: bool,
-    /// This round's start-state rewrite seeds: the backend pushes every
-    /// slot it rewrote.
-    pub(crate) seeds: Vec<NodeId>,
+    /// This round's start-state rewrite seeds: every slot it rewrote.
+    seeds: Vec<NodeId>,
 }
 
 impl LevelCarry {
@@ -328,10 +427,8 @@ pub(crate) fn aggregation_set<'a>(
 }
 
 /// Visits the sorted union of two ascending, duplicate-free vertex
-/// lists exactly once per vertex, in ascending order. The shared
-/// co-walk under the frontier-sized projection diff of all three
-/// oracles (owned, arena and dense), kept in one place because its
-/// boundary behavior is correctness-critical.
+/// lists exactly once per vertex, in ascending order: the co-walk under
+/// the frontier-sized projection diff.
 fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
@@ -364,239 +461,185 @@ fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) 
     }
 }
 
-/// The level phase of one simulated `H`-iteration: every level sets up
-/// its start state (wholesale projection, closure carry-over, or
-/// projection diff — see the module docs) and runs `(r^V A_λ)^d` on its
-/// own engine, leaving the result in `level.y` and the set of moved
-/// `y`-slots in `level.carry`. `x_changed` is the set of `x`-slots the
-/// previous aggregation changed (`None` = unknown, diff everything).
-fn level_phase<A>(
+/// The oracle's fixpoint loop, shared by every lane type and entry
+/// point: iterates from `states` (already past `executed` simulated
+/// iterations) up to `h` in total, calling `on_round(round, x)` after
+/// every round that changed something. Resuming from a recorded
+/// `(states, executed)` pair on [`fresh_levels`] is bit-identical to the
+/// uninterrupted run: an unprimed level rewrites wholesale on its first
+/// round, which the carry-over schedules already prove equivalent to
+/// carrying on.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn oracle_loop<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
-    x: &[A::M],
-    scratch: &mut OracleScratch<A>,
-    x_changed: Option<&[NodeId]>,
-) -> WorkStats
+    h: usize,
+    carry_over: bool,
+    levels: &mut [Level<L>],
+    states: Vec<A::M>,
+    mut executed: usize,
+    mut on_round: impl FnMut(usize, &L::X) -> Result<(), RunError>,
+) -> Result<OracleRun<A::M>, RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
-    let n = sim.augmented().n();
-    debug_assert_eq!(n, x.len());
-    let lambda_max = sim.levels().lambda();
-    scratch.ensure(lambda_max as usize + 1, n);
-    let carry_over = scratch.carry_over;
-    let zero = A::M::zero();
-
-    // The Λ+1 level contributions are independent: one parallel task per
-    // level (`with_min_len(1)`: Λ is small but each task is heavy), each
-    // leaving `(r^V A_λ)^d P_λ x` in its own `y` buffer. Per-level work
-    // tallies merge through the fixed-shape reduction tree.
-    scratch
-        .levels
-        .par_iter_mut()
-        .with_min_len(1)
-        .enumerate()
-        .map(|(lambda, level)| {
-            let lambda = lambda as u32;
-            // Fault-injection site: one level task fails (`panic`) or
-            // corrupts its level state (`poison_nan`) while the sibling
-            // levels keep running.
-            match mte_faults::check_for(
-                mte_faults::FaultSite::OracleLevelLoop,
-                &[
-                    mte_faults::FaultKind::Panic,
-                    mte_faults::FaultKind::PoisonNan,
-                ],
-            ) {
-                Some(mte_faults::FaultKind::Panic) => {
-                    mte_faults::trigger_panic(mte_faults::FaultSite::OracleLevelLoop)
+    let g = sim.augmented();
+    let n = g.n();
+    debug_assert_eq!(n, states.len());
+    let mut x = L::X::from(states);
+    let mut work = WorkStats::new();
+    let mut fixpoint = false;
+    // `x`-slots the previous aggregation changed; `None` = unknown (no
+    // previous round), forcing full diffs.
+    let mut x_changed: Option<Vec<NodeId>> = None;
+    while executed < h {
+        // The level phase. The Λ+1 level contributions are independent:
+        // one parallel task per level (`with_min_len(1)`: Λ is small but
+        // each task is heavy), each leaving `(r^V A_λ)^d P_λ x` in its own
+        // lane. Per-level work tallies merge through the fixed-shape
+        // reduction tree.
+        let (x_ref, x_changed_ref) = (&x, x_changed.as_deref());
+        work += levels
+            .par_iter_mut()
+            .with_min_len(1)
+            .enumerate()
+            .map(|(lambda, Level { lane, carry })| {
+                let lambda = lambda as u32;
+                // Fault-injection site: one level task fails (`panic`) or
+                // corrupts its lane (`poison_nan`) while the sibling
+                // levels keep running.
+                if mte_faults::check_panic_or_poison(mte_faults::FaultSite::OracleLevelLoop) {
+                    lane.poison(alg);
                 }
-                Some(mte_faults::FaultKind::PoisonNan) => {
-                    if let Some(slot) = level.y.first_mut() {
-                        slot.poison();
-                    }
-                }
-                _ => {}
-            }
-            let scale = sim.level_scale(lambda);
-            let start = level.carry.start(carry_over, x_changed);
-            match start {
-                LevelStart::Wholesale => {
-                    // First round (or carry-over disabled): y ← P_λ x
-                    // wholesale, frontier restarts full. `clone_from`
-                    // reuses each slot's heap buffer across iterations.
-                    level.y.par_iter_mut().enumerate().for_each(|(v, slot)| {
-                        if sim.levels().level(v as NodeId) >= lambda {
-                            slot.clone_from(&x[v]);
-                        } else {
-                            slot.clone_from(&zero);
-                        }
-                    });
-                }
-                LevelStart::Closure(changed) => {
-                    // Closure carry-over: y_λ[v] ← r(y_λ[v] ⊕ x[v]) on
-                    // the changed x-slots of this level; every other slot
-                    // already absorbed its x value. The engine's frontier
-                    // is empty (the last hop changed nothing), so the
-                    // seeds are the whole frontier.
-                    let LevelScratch { y, carry, acc, .. } = level;
-                    for &v in changed {
-                        if sim.levels().level(v) < lambda {
-                            continue;
-                        }
-                        let slot = &mut y[v as usize];
-                        acc.clone_from(slot);
-                        acc.add_assign(&x[v as usize]);
-                        alg.filter(acc);
-                        if acc != slot {
-                            std::mem::swap(slot, acc);
-                            carry.seeds.push(v);
-                        }
-                    }
-                }
-                LevelStart::FullDiff => {
-                    // Projection diff after a wholesale round: y still
-                    // holds this level's previous result, but there is no
-                    // moved set to bound the diff — compare every slot
-                    // once, rewrite and seed exactly the differing ones.
-                    // The changed list collects in ascending vertex order
-                    // (chunk-order concatenation), independent of the
-                    // thread count.
-                    level.carry.seeds = level
-                        .y
-                        .par_iter_mut()
-                        .enumerate()
-                        .flat_map_iter(|(v, slot)| {
-                            let want = if sim.levels().level(v as NodeId) >= lambda {
-                                &x[v]
-                            } else {
-                                &zero
-                            };
-                            if slot != want {
-                                slot.clone_from(want);
-                                Some(v as NodeId)
-                            } else {
-                                None
+                let keep = |v: NodeId| sim.levels().level(v) >= lambda;
+                let before = lane.store_stats();
+                let start = carry.start(carry_over, x_changed_ref);
+                match start {
+                    LevelStart::Wholesale | LevelStart::FullDiff => {
+                        // Compare-and-assign every slot against the fresh
+                        // projection `P_λ x`, seeding the differing ones
+                        // (writing an identical state is a no-op, so the
+                        // wholesale reference may compare too).
+                        for v in 0..n as NodeId {
+                            if lane.project(alg, x_ref, v, keep(v)) {
+                                carry.seeds.push(v);
                             }
-                        })
-                        .collect();
-                }
-                LevelStart::FrontierDiff(changed) => {
+                        }
+                    }
+                    LevelStart::Closure(changed) => {
+                        // Closure carry-over: fold this level's changed
+                        // x-slots into its closure; every other slot
+                        // already absorbed its x value. The engine's
+                        // frontier is empty (the last hop changed
+                        // nothing), so the seeds are the whole frontier.
+                        for &v in changed {
+                            if keep(v) && lane.absorb(alg, x_ref, v) {
+                                carry.seeds.push(v);
+                            }
+                        }
+                    }
                     // Frontier-sized diff: a slot can disagree with the
                     // fresh projection only if this level moved it last
-                    // round or the aggregation changed its `x` source —
-                    // everything else still equals `P_λ x` and is skipped
-                    // without being read.
-                    let LevelScratch { y, carry, .. } = level;
-                    carry.frontier_diff(changed, |v| {
-                        let want = if sim.levels().level(v) >= lambda {
-                            &x[v as usize]
-                        } else {
-                            &zero
-                        };
-                        let slot = &mut y[v as usize];
-                        let differs = slot != want;
-                        if differs {
-                            slot.clone_from(want);
-                        }
-                        differs
-                    });
+                    // round or the aggregation changed its x source.
+                    LevelStart::FrontierDiff(changed) => {
+                        carry.frontier_diff(changed, |v| lane.project(alg, x_ref, v, keep(v)))
+                    }
                 }
-            }
-            if start == LevelStart::Wholesale {
-                level.engine.mark_all_dirty(sim.augmented());
-            } else {
-                level
-                    .engine
-                    .mark_dirty(sim.augmented(), level.carry.seeds.iter().copied());
-            }
-            // y ← (r^V A_λ)^d y : d filtered hops on the scaled G'; once
-            // a hop changes nothing the level is at its fixpoint and the
-            // remaining hops are identity.
-            let mut work = WorkStats::new();
-            let mut closed = false;
-            for _ in 0..sim.d() {
-                let (w, changed) = level.engine.step(alg, sim.augmented(), &mut level.y, scale);
-                work += w;
-                if !changed {
-                    closed = true;
-                    break;
+                let seeds = (start != LevelStart::Wholesale).then_some(&carry.seeds[..]);
+                lane.mark_dirty(g, seeds);
+                // The rewrite's storage traffic; the hops account
+                // themselves.
+                let mut work = storage_delta(before, lane.store_stats());
+                // y ← (r^V A_λ)^d y : d filtered hops on the scaled G';
+                // once a hop changes nothing the level is at its fixpoint
+                // and the remaining hops are identity.
+                let scale = sim.level_scale(lambda);
+                let mut closed = false;
+                for _ in 0..sim.d() {
+                    let (w, changed) = lane.hop(alg, g, scale);
+                    work += w;
+                    if !changed {
+                        closed = true;
+                        break;
+                    }
                 }
+                // Record what this round moved, for the next round's diff
+                // and this round's aggregation: rewrites plus hop changes.
+                carry.finish(start, closed, |moved| lane.drain_change_log(moved));
+                work
+            })
+            .reduce(WorkStats::new, |mut a, b| {
+                a += b;
+                a
+            });
+        executed += 1;
+
+        // The aggregation `x_v ← r(⊕_λ [level(v) ≥ λ] y_λ[v])`, folding
+        // in ascending-λ order — a fixed combination order independent of
+        // the thread count. It recomputes only the vertices some level
+        // moved this round (a skipped vertex's fold inputs are unchanged,
+        // so it would reproduce its current value bit for bit), unless a
+        // level rewrote wholesale and has no moved set. Both paths stage
+        // in ascending vertex order (chunk-order concatenation).
+        let recompute = aggregation_set(levels.iter().map(|l| &l.carry));
+        let staged: Vec<(NodeId, L::Staged)> = {
+            let fold = L::folder(alg, &mut x);
+            let levels: &[Level<L>] = levels;
+            let stage =
+                |v: NodeId| fold(&levels[..=sim.levels().level(v) as usize], v).map(|m| (v, m));
+            match recompute.as_deref() {
+                None => (0..n as NodeId)
+                    .into_par_iter()
+                    .flat_map_iter(stage)
+                    .collect(),
+                Some(list) => list.par_iter().flat_map_iter(|&v| stage(v)).collect(),
             }
-            // Record what this round moved, for the next round's diff
-            // and this round's aggregation: rewrites plus hop changes.
-            level
-                .carry
-                .finish(start, closed, |moved| level.engine.drain_change_log(moved));
-            work
-        })
-        .reduce(WorkStats::new, |mut a, b| {
-            a += b;
-            a
-        })
+        };
+        if staged.is_empty() {
+            fixpoint = true;
+            break;
+        }
+        x_changed = Some(staged.iter().map(|&(v, _)| v).collect());
+        L::commit(&mut x, staged);
+        on_round(executed, &x)?;
+    }
+    // The Λ+1 lanes are live *simultaneously*: the run's arena high-water
+    // mark is the sum of the per-lane peaks, not the max the per-hop
+    // tallies fold to.
+    work.arena_bytes = levels
+        .iter()
+        .map(|l| l.lane.store_stats().arena_bytes)
+        .sum();
+    Ok(OracleRun {
+        states: x.into(),
+        h_iterations: executed,
+        fixpoint,
+        converged: fixpoint,
+        hops: work.iterations,
+        work,
+    })
 }
 
-/// The aggregation phase: `x_v ← r(⊕_λ [level(v) ≥ λ] y_λ[v])` for every
-/// vertex in `recompute` (`None` = all of `V`), writing only the slots
-/// that actually changed and returning them, sorted ascending. The
-/// per-vertex fold runs in ascending-λ order — a fixed combination
-/// order independent of the thread count — with the final filter `r^V`
-/// fused in. Skipped vertices provably re-aggregate to their current
-/// value: `x_v = r(⊕_λ P_λ y_λ[v])` held at the end of the previous
-/// round and none of their `y`-inputs moved.
-fn aggregate<A>(
+/// [`oracle_loop`] on fresh `L` lanes with no round hook: the body of the
+/// `*_with_schedule` entry points and [`oracle_iteration`].
+pub(crate) fn run_lanes<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
-    levels: &[LevelScratch<A>],
-    x: &mut [A::M],
-    recompute: Option<&[NodeId]>,
-) -> Vec<NodeId>
+    h: usize,
+    strategy: EngineStrategy,
+    carry_over: bool,
+    states: Vec<A::M>,
+) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
-    let fold = |v: NodeId| -> A::M {
-        let node_level = sim.levels().level(v);
-        let mut acc = A::M::zero();
-        for (lambda, level) in levels.iter().enumerate() {
-            if node_level >= lambda as u32 {
-                acc.add_assign(&level.y[v as usize]);
-            }
-        }
-        alg.filter(&mut acc);
-        acc
-    };
-    let x_ref: &[A::M] = x;
-    // Both paths collect `(v, new value)` pairs in ascending vertex
-    // order (chunk-order concatenation over an ascending input list).
-    let changed: Vec<(NodeId, A::M)> = match recompute {
-        None => (0..x.len() as NodeId)
-            .into_par_iter()
-            .flat_map_iter(|v| {
-                let acc = fold(v);
-                if acc != x_ref[v as usize] {
-                    Some((v, acc))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        Some(list) => list
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let acc = fold(v);
-                if acc != x_ref[v as usize] {
-                    Some((v, acc))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-    };
-    let ids: Vec<NodeId> = changed.iter().map(|&(v, _)| v).collect();
-    for (v, m) in changed {
-        x[v as usize] = m;
+    let levels = &mut fresh_levels::<A, L>(sim, strategy);
+    match oracle_loop(alg, sim, h, carry_over, levels, states, 0, |_, _| Ok(())) {
+        Ok(run) => run,
+        Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
     }
-    ids
 }
 
 /// Simulates **one** iteration of `alg` on `H`:
@@ -605,11 +648,9 @@ pub fn oracle_iteration<A>(alg: &A, sim: &SimulatedGraph, x: &[A::M]) -> (Vec<A:
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
-    let mut scratch = OracleScratch::new(EngineStrategy::default(), true);
-    let work = level_phase(alg, sim, x, &mut scratch, None);
-    let mut next = x.to_vec();
-    aggregate(alg, sim, &scratch.levels, &mut next, None);
-    (next, work)
+    let strategy = EngineStrategy::default();
+    let run = run_lanes::<A, LevelScratch<A>>(alg, sim, 1, strategy, true, x.to_vec());
+    (run.states, run.work)
 }
 
 /// [`oracle_run_to_fixpoint_with`] with the level schedule made explicit:
@@ -631,64 +672,7 @@ where
     A: MbfAlgorithm<S = MinPlus>,
 {
     let states = initial_states(alg, sim.augmented().n());
-    match oracle_loop(alg, sim, h, strategy, carry_over, states, 0, |_, _| Ok(())) {
-        Ok(run) => run,
-        Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
-    }
-}
-
-/// The oracle's fixpoint loop, shared by [`oracle_run_with_schedule`]
-/// and the checkpoint-resume drivers: iterates from `states` (already
-/// past `executed` simulated iterations) up to `h` total, calling
-/// `on_round(round, states)` after every round that changed something.
-/// Resuming from a recorded `(states, executed)` pair with fresh
-/// scratch is bit-identical to the uninterrupted run: an unprimed level
-/// (`closed: false`) rewrites wholesale on its first round, which the
-/// carry-over schedules already prove equivalent to carrying on.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn oracle_loop<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-    carry_over: bool,
-    mut states: Vec<A::M>,
-    mut executed: usize,
-    mut on_round: impl FnMut(usize, &[A::M]) -> Result<(), crate::error::RunError>,
-) -> Result<OracleRun<A::M>, crate::error::RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    let mut scratch = OracleScratch::new(strategy, carry_over);
-    let mut work = WorkStats::new();
-    let mut fixpoint = false;
-    // `x`-slots the previous aggregation changed; `None` = unknown (no
-    // previous round), forcing full diffs.
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-    while executed < h {
-        work += level_phase(alg, sim, &states, &mut scratch, prev_changed.as_deref());
-        executed += 1;
-        // Aggregation can skip every vertex no level moved this round
-        // (their fold inputs are unchanged, so recomputation would
-        // reproduce the current value bit for bit) — unless some level
-        // rewrote wholesale and has no moved set.
-        let recompute = aggregation_set(scratch.levels.iter().map(|l| &l.carry));
-        let changed = aggregate(alg, sim, &scratch.levels, &mut states, recompute.as_deref());
-        if changed.is_empty() {
-            fixpoint = true;
-            break;
-        }
-        prev_changed = Some(changed);
-        on_round(executed, &states)?;
-    }
-    Ok(OracleRun {
-        states,
-        h_iterations: executed,
-        fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
-        work,
-    })
+    run_lanes::<A, LevelScratch<A>>(alg, sim, h, strategy, carry_over, states)
 }
 
 /// Iterates `alg` on `H` until a fixpoint, capped at `cap` iterations,
@@ -754,6 +738,7 @@ mod tests {
     use super::*;
     use crate::catalog::SourceDetection;
     use crate::engine::run_to_fixpoint;
+    use mte_algebra::DistanceMap;
     use mte_graph::algorithms::shortest_path_diameter;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
@@ -863,32 +848,103 @@ mod tests {
         assert_eq!(short.h_iterations, 1);
     }
 
-    #[test]
-    fn fresh_and_resized_scratch_starts_unclosed() {
-        // A resume re-enters the loop on fresh scratch: no level may
-        // claim a closure it never computed, so the first round is the
-        // wholesale rewrite. A closing round sets the flag; resizing
-        // the scratch for another graph clears it again.
+    /// A gnm graph whose levels close within `d` hops in every round.
+    fn closing_fixture() -> (mte_graph::Graph, SimulatedGraph) {
         let mut rng = StdRng::seed_from_u64(26);
         let g = gnm_graph(30, 70, 1.0..6.0, &mut rng);
         let d = 3 * (shortest_path_diameter(&g) as usize + 1);
         let sim = SimulatedGraph::without_hopset(&g, d, 0.15, &mut rng);
+        (g, sim)
+    }
+
+    #[test]
+    fn fresh_lanes_start_unclosed() {
+        // A resume re-enters the loop on fresh levels: no level may claim
+        // a closure it never computed, so the first round is the
+        // wholesale rewrite. A closing round sets the flag.
+        let (g, sim) = closing_fixture();
         let alg = SourceDetection::k_ssp(g.n(), 3);
-        let levels = sim.levels().lambda() as usize + 1;
-        let mut scratch = OracleScratch::<SourceDetection>::new(EngineStrategy::Frontier, true);
-        scratch.ensure(levels, g.n());
-        assert!(scratch
-            .levels
-            .iter()
-            .all(|l| !l.carry.closed && !l.carry.primed));
+        let mut levels = fresh_levels::<_, LevelScratch<_>>(&sim, EngineStrategy::Frontier);
+        assert!(levels.iter().all(|l| !l.carry.closed && !l.carry.primed));
         let x = initial_states(&alg, g.n());
-        level_phase(&alg, &sim, &x, &mut scratch, None);
-        assert!(scratch.levels.iter().all(|l| l.carry.closed));
-        scratch.ensure(levels, g.n() + 1);
-        assert!(scratch
-            .levels
-            .iter()
-            .all(|l| !l.carry.closed && !l.carry.primed));
+        oracle_loop(&alg, &sim, 1, true, &mut levels, x, 0, |_, _| Ok(())).unwrap();
+        assert!(levels.iter().all(|l| l.carry.closed));
+    }
+
+    /// The three lane types the shared loop runs, for the table-driven
+    /// contract test.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Owned,
+        Arena,
+        Dense,
+    }
+
+    /// A carry-over run of `kind`'s lanes capped at `h` rounds, recording
+    /// the rounds `on_round` saw.
+    fn capped(
+        kind: Kind,
+        alg: &SourceDetection,
+        sim: &SimulatedGraph,
+        h: usize,
+        rounds: &mut Vec<usize>,
+    ) -> OracleRun<DistanceMap> {
+        use crate::arena::ArenaLevel;
+        use crate::dense::DenseLevel;
+        let s = EngineStrategy::Frontier;
+        let x = initial_states(alg, sim.augmented().n());
+        let mut hook = |r: usize| -> Result<(), RunError> {
+            rounds.push(r);
+            Ok(())
+        };
+        match kind {
+            Kind::Owned => {
+                let levels = &mut fresh_levels::<_, LevelScratch<_>>(sim, s);
+                oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
+            }
+            Kind::Arena => {
+                let levels = &mut fresh_levels::<SourceDetection, ArenaLevel>(sim, s);
+                oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
+            }
+            Kind::Dense => {
+                let levels = &mut fresh_levels::<_, DenseLevel<_>>(sim, s);
+                oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
+            }
+        }
+        .unwrap()
+    }
+
+    #[test]
+    fn lane_contract_holds_on_every_backend() {
+        let (g, sim) = closing_fixture();
+        let alg = SourceDetection::apsp(g.n());
+        let reference =
+            |h| oracle_run_with_schedule(&alg, &sim, h, EngineStrategy::Frontier, false);
+        let full = reference(4 * g.n());
+        let r = full.h_iterations;
+        assert!(full.fixpoint && r >= 3, "{r} rounds");
+        for kind in [Kind::Owned, Kind::Arena, Kind::Dense] {
+            // h = 0: no round, not converged, the states r^V x⁽⁰⁾.
+            let mut rounds = Vec::new();
+            let run = capped(kind, &alg, &sim, 0, &mut rounds);
+            assert_eq!((run.h_iterations, run.fixpoint), (0, false), "{kind:?}");
+            assert_eq!(run.states, initial_states(&alg, g.n()), "{kind:?}");
+            assert!(rounds.is_empty(), "{kind:?}");
+
+            // Every cap up to the fixpoint matches the restart reference;
+            // `on_round` sees each round that changed something, never
+            // the confirming round `r`.
+            for h in 1..=r {
+                let want = reference(h);
+                let mut rounds = Vec::new();
+                let run = capped(kind, &alg, &sim, h, &mut rounds);
+                assert_eq!(run.states, want.states, "{kind:?} h={h}");
+                assert_eq!(run.h_iterations, want.h_iterations, "{kind:?} h={h}");
+                assert_eq!(run.fixpoint, want.fixpoint, "{kind:?} h={h}");
+                let fired: Vec<usize> = (1..=h.min(r - 1)).collect();
+                assert_eq!(rounds, fired, "{kind:?} h={h}");
+            }
+        }
     }
 
     #[test]

@@ -431,17 +431,10 @@ impl<A: MbfAlgorithm> ShardedEngine<A> {
                     out.changed.push((v, staged));
                 }
             }
-            match faults::check_for(
-                FaultSite::ShardHopExec,
-                &[FaultKind::Panic, FaultKind::PoisonNan],
-            ) {
-                Some(FaultKind::Panic) => faults::trigger_panic(FaultSite::ShardHopExec),
-                Some(FaultKind::PoisonNan) => {
-                    if let Some((_, m)) = out.changed.first_mut() {
-                        m.poison();
-                    }
+            if faults::check_panic_or_poison(FaultSite::ShardHopExec) {
+                if let Some((_, m)) = out.changed.first_mut() {
+                    m.poison();
                 }
-                _ => {}
             }
             out
         };

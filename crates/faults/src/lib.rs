@@ -573,6 +573,18 @@ pub fn first_unhandled_since(serial: u64) -> Option<FiredFault> {
         .copied()
 }
 
+/// The common `panic`/`poison_nan` site: [`check_for`] with both kinds,
+/// unwinding on `panic`. Returns `true` iff `poison_nan` fired, so the
+/// caller must now corrupt its state.
+#[inline]
+pub fn check_panic_or_poison(site: FaultSite) -> bool {
+    match check_for(site, &[FaultKind::Panic, FaultKind::PoisonNan]) {
+        Some(FaultKind::Panic) => trigger_panic(site),
+        Some(FaultKind::PoisonNan) => true,
+        _ => false,
+    }
+}
+
 /// Panics with an [`InjectedPanic`] payload attributing the unwind to
 /// `site`.
 pub fn trigger_panic(site: FaultSite) -> ! {

@@ -11,14 +11,18 @@
 //! releasing it. Expected injected panics are silenced with a no-op
 //! panic hook for the duration of the sweep.
 
-use metric_tree_embedding::core::arena::try_run_to_fixpoint_arena_with;
+use metric_tree_embedding::core::arena::{
+    oracle_run_arena_to_fixpoint_with, try_run_to_fixpoint_arena_with,
+};
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::{
-    try_run_to_fixpoint_dense_with, try_run_to_fixpoint_switching_with, SwitchThresholds,
+    oracle_run_dense_to_fixpoint_with, try_run_to_fixpoint_dense_with,
+    try_run_to_fixpoint_switching_with, SwitchThresholds,
 };
 use metric_tree_embedding::core::engine::{try_run_to_fixpoint_with, EngineStrategy};
+use metric_tree_embedding::core::error::{check_states, run_guarded};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::try_oracle_run_to_fixpoint_with;
+use metric_tree_embedding::core::oracle::{try_oracle_run_to_fixpoint_with, OracleRun};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
@@ -98,6 +102,12 @@ enum Pipeline {
     Dense,
     Switching,
     Oracle,
+    /// The kernel of `FrtEmbedding::sample`: LE lists through the arena
+    /// lanes of the `H`-oracle.
+    ArenaOracle,
+    /// The kernel of `approximate_metric`: APSP through the dense lanes
+    /// of the `H`-oracle.
+    DenseOracle,
 }
 
 impl Pipeline {
@@ -122,7 +132,7 @@ impl Pipeline {
                 (FaultSite::DenseRowKernel, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
             ],
-            Pipeline::Oracle => vec![
+            Pipeline::Oracle | Pipeline::ArenaOracle | Pipeline::DenseOracle => vec![
                 (FaultSite::OracleLevelLoop, FaultKind::Panic),
                 (FaultSite::OracleLevelLoop, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
@@ -178,17 +188,61 @@ impl Pipeline {
                 try_oracle_run_to_fixpoint_with(&alg, sim, 4 * g.n(), strategy)
                     .map(|(run, report)| (run.states, report))
             }
+            Pipeline::ArenaOracle | Pipeline::DenseOracle => self.oracle(g, sim).map(|run| {
+                let report = RunReport {
+                    converged: run.converged,
+                    hops: run.hops,
+                    degradations: Vec::new(),
+                };
+                (run.states, report)
+            }),
         }
+    }
+
+    /// Runs one of the three `H`-oracle pipelines guarded, returning the
+    /// whole run. The arena and dense oracles have no guarded entry
+    /// point, so they run under the public `run_guarded` and
+    /// `check_states`.
+    fn oracle(self, g: &Graph, sim: &SimulatedGraph) -> Result<OracleRun<DistanceMap>, RunError> {
+        let (n, strategy) = (sim.augmented().n(), EngineStrategy::default());
+        let run = match self {
+            Pipeline::Oracle => {
+                let alg = SourceDetection::apsp(g.n());
+                let (run, _) = try_oracle_run_to_fixpoint_with(&alg, sim, 4 * g.n(), strategy)?;
+                return Ok(run);
+            }
+            Pipeline::ArenaOracle => {
+                let ranks = Ranks::sample(n, &mut StdRng::seed_from_u64(0xFA04));
+                let alg = LeListAlgorithm::new(Arc::new(ranks));
+                run_guarded(|| oracle_run_arena_to_fixpoint_with(&alg, sim, 4 * n, strategy))?
+            }
+            Pipeline::DenseOracle => {
+                let alg = SourceDetection::apsp(n);
+                run_guarded(|| oracle_run_dense_to_fixpoint_with(&alg, sim, 4 * n, strategy))?
+            }
+            other => panic!("{other:?} is not an oracle pipeline"),
+        };
+        check_states::<MinPlus, _>(&run.states)?;
+        Ok(run)
     }
 }
 
-const PIPELINES: [Pipeline; 6] = [
+/// The pipelines that run the `H`-oracle loop.
+const ORACLE_PIPELINES: [Pipeline; 3] = [
+    Pipeline::Oracle,
+    Pipeline::ArenaOracle,
+    Pipeline::DenseOracle,
+];
+
+const PIPELINES: [Pipeline; 8] = [
     Pipeline::Owned,
     Pipeline::Arena,
     Pipeline::ArenaLe,
     Pipeline::Dense,
     Pipeline::Switching,
     Pipeline::Oracle,
+    Pipeline::ArenaOracle,
+    Pipeline::DenseOracle,
 ];
 
 /// The tentpole sweep: every pipeline × wired (site, kind) × arrival
@@ -280,8 +334,9 @@ fn late_span_faults_in_the_le_kernel_error_typed_or_leave_output_bit_identical()
 /// `poison_nan` at `oracle_level_loop` after the levels have closed
 /// lands in a slot no later round overwrites. Every arrival in rounds
 /// ≥ 2 — first, middle and last level of the round, both kinds, both
-/// pool shapes — must still end in a typed error, never in an `Ok` run
-/// (whose states could silently differ from the clean run's).
+/// pool shapes, on the owned, arena and dense lanes — must still end in
+/// a typed error, never in an `Ok` run (whose states could silently
+/// differ from the clean run's).
 #[test]
 fn late_round_oracle_level_faults_error_typed_after_levels_close() {
     let _guard = FaultGuard::acquire();
@@ -292,40 +347,40 @@ fn late_round_oracle_level_faults_error_typed_after_levels_close() {
         sim.d() > shortest_path_diameter(&og) as usize + 1,
         "fixture levels must close"
     );
-    let alg = SourceDetection::apsp(og.n());
-    let (clean, _) =
-        try_oracle_run_to_fixpoint_with(&alg, &sim, 4 * og.n(), EngineStrategy::default())
-            .expect("clean oracle run");
-    assert!(
-        clean.h_iterations >= 3,
-        "only {} rounds: nothing is carried",
-        clean.h_iterations
-    );
     // One `oracle_level_loop` arrival per level task per round.
     let per_round = u64::from(sim.levels().lambda()) + 1;
-    for round in 2..=clean.h_iterations as u64 {
-        let first = (round - 1) * per_round + 1;
-        for nth in [first, first + per_round / 2, round * per_round] {
-            for kind in [FaultKind::Panic, FaultKind::PoisonNan] {
-                for threads in [1usize, 4] {
-                    faults::install(FaultPlan::single(FaultSite::OracleLevelLoop, kind, nth));
-                    let serial = faults::fired_serial();
-                    let (og, sim) = (&og, &sim);
-                    let outcome = with_threads(threads, move || Pipeline::Oracle.run(og, sim));
-                    let fired = !faults::fired_since(serial).is_empty();
-                    faults::clear();
-                    let at = format!("round {round}/nth={nth}/{kind}/t={threads}");
-                    assert!(fired, "{at}: arrival never reached");
-                    match outcome {
-                        Err(RunError::InjectedFault { site, .. }) => {
-                            assert_eq!(site, FaultSite::OracleLevelLoop, "{at}")
+    for pipeline in ORACLE_PIPELINES {
+        let clean = pipeline.oracle(&og, &sim).expect("clean oracle run");
+        assert!(
+            clean.h_iterations >= 3,
+            "{pipeline:?}: only {} rounds: nothing is carried",
+            clean.h_iterations
+        );
+        for round in 2..=clean.h_iterations as u64 {
+            let first = (round - 1) * per_round + 1;
+            for nth in [first, first + per_round / 2, round * per_round] {
+                for kind in [FaultKind::Panic, FaultKind::PoisonNan] {
+                    for threads in [1usize, 4] {
+                        faults::install(FaultPlan::single(FaultSite::OracleLevelLoop, kind, nth));
+                        let serial = faults::fired_serial();
+                        let (og, sim) = (&og, &sim);
+                        let outcome = with_threads(threads, move || pipeline.oracle(og, sim));
+                        let fired = !faults::fired_since(serial).is_empty();
+                        faults::clear();
+                        let at = format!("{pipeline:?}/round {round}/nth={nth}/{kind}/t={threads}");
+                        assert!(fired, "{at}: arrival never reached");
+                        match outcome {
+                            Err(RunError::InjectedFault { site, .. }) => {
+                                assert_eq!(site, FaultSite::OracleLevelLoop, "{at}")
+                            }
+                            Err(RunError::Panicked { .. }) | Err(RunError::CorruptState { .. }) => {
+                            }
+                            Err(other) => panic!("{at}: unexpected error class {other:?}"),
+                            Ok(run) => panic!(
+                                "{at}: fired fault ended in Ok (states equal clean run: {})",
+                                run.states == clean.states
+                            ),
                         }
-                        Err(RunError::Panicked { .. }) | Err(RunError::CorruptState { .. }) => {}
-                        Err(other) => panic!("{at}: unexpected error class {other:?}"),
-                        Ok((states, _)) => panic!(
-                            "{at}: fired fault ended in Ok (states equal clean run: {})",
-                            states == clean.states
-                        ),
                     }
                 }
             }
