@@ -15,7 +15,6 @@ use crate::tables::{f, Table};
 use mte_core::arena::{run_to_fixpoint_arena_with, ArenaMbfAlgorithm};
 use mte_core::catalog::SourceDetection;
 use mte_core::checkpoint::{
-    try_resume_run_to_fixpoint_arena_with, try_resume_run_to_fixpoint_with,
     try_run_checkpointed_arena_with, try_run_checkpointed_with, CheckpointPolicy,
 };
 use mte_core::engine::{run_to_fixpoint_with, EngineStrategy, MbfAlgorithm};
@@ -78,11 +77,11 @@ where
     let reference = run_to_fixpoint_with(alg, g, cap, strategy);
     let run_wall_ms = ms(t0);
 
-    let policy = CheckpointPolicy::every_hops(cadence(reference.iterations));
+    let policy = CheckpointPolicy::every(cadence(reference.iterations));
     let mut encode_ms = 0.0;
     let mut images: Vec<Vec<u8>> = Vec::new();
     let t0 = Instant::now();
-    let (run, _) = try_run_checkpointed_with(alg, g, cap, strategy, policy, |c| {
+    let (run, _) = try_run_checkpointed_with(alg, g, cap, strategy, None, policy, |c| {
         let te = Instant::now();
         let image = SnapshotWriter::new().put_checkpoint(c).encode();
         encode_ms += ms(te);
@@ -102,8 +101,10 @@ where
         .expect("checkpoint section present");
     let decode_ms = ms(td);
     let tr = Instant::now();
-    let (resumed, _) = try_resume_run_to_fixpoint_with(alg, g, cap, strategy, &ckpt)
-        .expect("resume from own snapshot cannot fail");
+    let off = CheckpointPolicy::disabled();
+    let (resumed, _) =
+        try_run_checkpointed_with(alg, g, cap, strategy, Some(&ckpt), off, |_| Ok(()))
+            .expect("resume from own snapshot cannot fail");
     let resume_wall_ms = ms(tr);
     assert_eq!(
         resumed.states, reference.states,
@@ -137,11 +138,11 @@ where
     let reference = run_to_fixpoint_arena_with(alg, g, cap, strategy);
     let run_wall_ms = ms(t0);
 
-    let policy = CheckpointPolicy::every_hops(cadence(reference.iterations));
+    let policy = CheckpointPolicy::every(cadence(reference.iterations));
     let mut encode_ms = 0.0;
     let mut images: Vec<Vec<u8>> = Vec::new();
     let t0 = Instant::now();
-    let (run, _) = try_run_checkpointed_arena_with(alg, g, cap, strategy, policy, |c| {
+    let (run, _) = try_run_checkpointed_arena_with(alg, g, cap, strategy, None, policy, |c| {
         let te = Instant::now();
         let image = SnapshotWriter::new().put_checkpoint(c).encode();
         encode_ms += ms(te);
@@ -161,8 +162,11 @@ where
         .expect("checkpoint section present");
     let decode_ms = ms(td);
     let tr = Instant::now();
-    let (resumed, _) = try_resume_run_to_fixpoint_arena_with(alg, g, cap, strategy, &ckpt)
-        .expect("resume from own snapshot cannot fail");
+    let off = CheckpointPolicy::disabled();
+    let from = Some(&ckpt);
+    let (resumed, _) =
+        try_run_checkpointed_arena_with(alg, g, cap, strategy, from, off, |_| Ok(()))
+            .expect("resume from own snapshot cannot fail");
     let resume_wall_ms = ms(tr);
     assert_eq!(
         resumed.states, reference.states,

@@ -80,16 +80,15 @@
 //!   every absorbed entry. Skipping them changes neither the admitted
 //!   set nor `entries_processed`.
 //!
-//! The oracle's arena lane ([`oracle_run_arena_with_schedule`]) keeps
+//! The oracle's arena lane ([`ArenaLevel`], the FRT path) keeps
 //! each level's `y_λ` in its own pool lane — `O(Λ)` buffers in total
 //! instead of `Θ(Λ·n)` per-vertex maps — and runs the one oracle loop of
 //! [`crate::oracle`].
 
 use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
-use crate::error::{Degradation, RunError, RunReport};
-use crate::oracle::{run_lanes, Lane, Level, OracleRun};
-use crate::simgraph::SimulatedGraph;
+use crate::error::Degradation;
+use crate::oracle::{Lane, Level};
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut, StoreStats};
 use mte_algebra::{Dist, DistanceMap, MinPlus, NodeId, Semimodule};
@@ -631,25 +630,12 @@ pub fn run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
     cap: usize,
     strategy: EngineStrategy,
 ) -> MbfRun<DistanceMap> {
-    let backend = ArenaBackend::fresh(alg, g, strategy);
+    let backend = ArenaBackend::new(alg, g, strategy, None);
     let policy = CheckpointPolicy::disabled();
     match drive(alg, g, backend, 0, cap, policy, |_| Ok(())) {
         Ok((run, _)) => run,
         Err(e) => unreachable!("no-op sink cannot fail: {e}"),
     }
-}
-
-/// Guarded [`run_to_fixpoint_arena_with`] (cf.
-/// [`crate::engine::try_run_to_fixpoint_with`]): panics become typed
-/// errors, injected faults are audited, exported states are scanned.
-pub fn try_run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
-    let policy = CheckpointPolicy::disabled();
-    crate::checkpoint::try_run_checkpointed_arena_with(alg, g, cap, strategy, policy, |_| Ok(()))
 }
 
 /// The arena backend of the fixpoint driver: an [`ArenaEngine`] and the
@@ -662,38 +648,30 @@ pub(crate) struct ArenaBackend {
 }
 
 impl ArenaBackend {
-    /// `r^V x⁽⁰⁾` bulk-loaded into a fresh pool, every vertex dirty.
-    pub(crate) fn fresh<A: ArenaMbfAlgorithm>(
+    /// `r^V x⁽⁰⁾` bulk-loaded into a fresh pool with every vertex dirty,
+    /// or `from`'s states with exactly its recorded frontier seeded (and
+    /// tainted: those spans were written outside the engine).
+    pub(crate) fn new<A: ArenaMbfAlgorithm>(
         alg: &A,
         g: &Graph,
         strategy: EngineStrategy,
+        from: Option<&Checkpoint<DistanceMap>>,
     ) -> Self {
-        let store = initial_store(alg, g.n());
-        let setup = storage_work(store.stats());
         let mut engine = ArenaEngine::new(strategy);
-        engine.mark_all_dirty(g);
-        ArenaBackend {
-            engine,
-            store,
-            setup,
-        }
-    }
-
-    /// The checkpoint's states bulk-loaded into a fresh pool, with
-    /// exactly its recorded frontier seeded (and tainted: those spans
-    /// were written outside the engine).
-    pub(crate) fn resume<A: ArenaMbfAlgorithm>(
-        alg: &A,
-        g: &Graph,
-        strategy: EngineStrategy,
-        ckpt: &Checkpoint<DistanceMap>,
-    ) -> Self {
-        let mut store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
-        store.import(&ckpt.states, |u| alg.entry_aux(u));
+        let store = match from {
+            None => {
+                engine.mark_all_dirty(g);
+                initial_store(alg, g.n())
+            }
+            Some(ckpt) => {
+                engine.prime(g);
+                engine.mark_dirty(g, ckpt.frontier.iter().copied());
+                let mut store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
+                store.import(&ckpt.states, |u| alg.entry_aux(u));
+                store
+            }
+        };
         let setup = storage_work(store.stats());
-        let mut engine = ArenaEngine::new(strategy);
-        engine.prime(g);
-        engine.mark_dirty(g, ckpt.frontier.iter().copied());
         ArenaBackend {
             engine,
             store,
@@ -731,9 +709,10 @@ impl<A: ArenaMbfAlgorithm> Backend<A> for ArenaBackend {
 // The arena oracle: Λ+1 level lanes over one shared arena scratch.
 // ---------------------------------------------------------------------
 
-/// The arena lane: `y_λ` as one pool lane and span table, stepped by an
-/// [`ArenaEngine`] — `O(Λ)` buffers in total, no per-vertex maps.
-pub(crate) struct ArenaLevel {
+/// The arena oracle lane, the one `FrtEmbedding::sample` runs: `y_λ` as
+/// one pool lane and span table, stepped by an [`ArenaEngine`] — `O(Λ)`
+/// buffers in total, no per-vertex maps.
+pub struct ArenaLevel {
     engine: ArenaEngine,
     store: EpochStore,
 }
@@ -742,7 +721,7 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLevel {
     type X = Vec<DistanceMap>;
     type Staged = DistanceMap;
 
-    fn new(strategy: EngineStrategy, n: usize) -> Self {
+    fn new(_: &A, strategy: EngineStrategy, n: usize) -> Self {
         let mut engine = ArenaEngine::new(strategy);
         engine.enable_change_log();
         ArenaLevel {
@@ -823,33 +802,6 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLevel {
             x[v as usize] = m;
         }
     }
-}
-
-/// [`crate::oracle::oracle_run_with_schedule`] on arena lanes: the same
-/// loop, bit-identical states, iteration counts, and fixpoint flags;
-/// only the storage counters differ.
-pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-    carry_over: bool,
-) -> OracleRun<DistanceMap> {
-    let states = initial_states(alg, sim.augmented().n());
-    run_lanes::<A, ArenaLevel>(alg, sim, h, strategy, carry_over, states)
-}
-
-/// Iterates the arena oracle to a fixpoint under the production
-/// carry-over schedule, capped at `cap` simulated iterations (the
-/// capped run *is* the run-to-fixpoint — the fixpoint check stops
-/// early).
-pub fn oracle_run_arena_to_fixpoint_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<DistanceMap> {
-    oracle_run_arena_with_schedule(alg, sim, cap, strategy, true)
 }
 
 #[cfg(test)]

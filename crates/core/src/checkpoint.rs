@@ -1,13 +1,27 @@
 //! The engine fixpoint driver, and checkpointed, resumable runs.
 //!
-//! Every engine fixpoint run — plain, guarded, checkpointed, or resumed,
-//! on any backend — is one loop, `drive`: apply `r^V A` until a hop
-//! changes nothing (the confirming hop is counted) or the hop cap is
-//! reached. What differs between the owned, arena, dense, and switching
-//! backends is only how states are stored; a crate-private `Backend`
-//! hides that. Each backend has a constructor for a fresh run
-//! (`r^V x⁽⁰⁾`, every vertex dirty) and a `resume` constructor that
-//! seeds a [`Checkpoint`]:
+//! Every engine fixpoint run — plain or guarded, fresh or resumed, on
+//! any backend — is one loop, `drive`: apply `r^V A` until a hop changes
+//! nothing (the confirming hop is counted) or the hop cap is reached.
+//! What differs between the owned, arena, dense, and switching backends
+//! is only how states are stored; a crate-private `Backend` hides that.
+//!
+//! Each backend has **one guarded driver** here, and so has the
+//! `H`-oracle on each of its lanes:
+//!
+//! | backend | driver |
+//! |---|---|
+//! | owned | [`try_run_checkpointed_with`] |
+//! | arena | [`try_run_checkpointed_arena_with`] |
+//! | dense | [`try_run_checkpointed_dense_with`] |
+//! | switching | [`try_run_checkpointed_switching_with`] |
+//! | oracle, lane `L` | [`try_oracle_run_checkpointed_with`] |
+//!
+//! A driver takes where to start (`from`), when to capture (a
+//! [`CheckpointPolicy`]), and where captures go (a sink). `from: None`
+//! starts fresh from `r^V x⁽⁰⁾`, every vertex dirty; a fail-fast run is
+//! `None` with [`CheckpointPolicy::disabled`] and a no-op sink.
+//! `from: Some(ckpt)` resumes at `ckpt.hop` from a seeded backend:
 //!
 //! - owned: the states, and exactly the recorded frontier (an empty
 //!   primed schedule plus `mark_dirty`);
@@ -18,7 +32,13 @@
 //! - dense: the states converted into a fresh block, and exactly the
 //!   recorded frontier;
 //! - switching: every vertex dirty — a sound *superset* of the recorded
-//!   frontier — with the states that differ from `r^V x⁽⁰⁾` assigned in.
+//!   frontier — with the states that differ from `r^V x⁽⁰⁾` assigned in;
+//! - oracle: the aggregate states on fresh, unprimed levels, whose first
+//!   round rewrites wholesale (see [`crate::oracle`]).
+//!
+//! A resumed run honours its policy and sink like a fresh one, so a
+//! retry can keep capturing and a later failure resumes from a later
+//! checkpoint.
 //!
 //! A checkpoint is the pair the fixpoint loop actually needs to
 //! continue: the **states** `x` after some hop, and the **residual
@@ -29,45 +49,42 @@
 //! *superset* of the residual frontier is a sound resume seed, and the
 //! exact recorded frontier reproduces the uninterrupted run's schedule.
 //! Resumed runs are therefore **bit-identical** to uninterrupted ones —
-//! same states, same hop counts, same fixpoint flags — across the
-//! owned, arena, dense, and switching backends and every `MTE_THREADS`
-//! (asserted by `tests/checkpoint_resume.rs`).
+//! same states, same hop counts, same fixpoint flags — across every
+//! backend, oracle lane and `MTE_THREADS` (asserted by
+//! `tests/checkpoint_resume.rs`).
 //!
-//! The drivers here are *sink-generic*: a [`CheckpointPolicy`] decides
-//! **when** to capture, and a caller-supplied closure decides **where**
-//! the capture goes — clone into memory, encode through `mte_persist`'s
-//! crash-safe snapshot writer, or both. Core never depends on the
-//! persistence crate; the dependency points the other way.
+//! The sink decides where a capture goes — clone into memory, encode
+//! through `mte_persist`'s crash-safe snapshot writer, or both. Core
+//! never depends on the persistence crate; the dependency points the
+//! other way.
 //!
-//! Resume entry points validate the checkpoint before touching any
-//! engine (state count, frontier range, and the node ids the states
-//! name): a checkpoint that came from disk is attacker-shaped data, and
-//! a malformed one must surface as [`RunError::SnapshotCorrupt`], never
-//! a panic. The [`crate::error::Supervisor`] composes these drivers
-//! into the recovery ladder.
+//! A driver validates `from` before touching any engine (state count,
+//! frontier range, and the node ids the states name): a checkpoint that
+//! came from disk is attacker-shaped data, and a malformed one must
+//! surface as [`RunError::SnapshotCorrupt`], never a panic. The
+//! [`crate::error::Supervisor`] composes these drivers into the
+//! recovery ladder.
 
 use crate::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use crate::dense::{DenseBackend, DenseMbfAlgorithm, SwitchThresholds, SwitchingEngine};
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use crate::error::{guarded, Degradation, RunError, RunReport};
-use crate::oracle::{fresh_levels, oracle_loop, LevelScratch, OracleRun};
+use crate::oracle::{fresh_levels, oracle_loop, Lane, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{DenseKernel, DenseState};
 use mte_algebra::{DistanceMap, MinPlus, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
 
-/// When the checkpointed drivers capture. `0` disables a trigger; the
-/// default is fully disabled.
+/// When the drivers capture: after every `n`-th step — an engine hop,
+/// or a simulated oracle round, the unit [`Checkpoint::hop`] counts.
+/// The default is disabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Engine drivers: capture after every `n`-th hop (never after the
-    /// confirming fixpoint hop — a checkpoint always carries the
-    /// frontier of a run still in flight).
-    pub every_n_hops: u64,
-    /// Oracle drivers: capture after every `n`-th simulated
-    /// `H`-iteration (the oracle's "level rounds").
-    pub every_n_levels: u64,
+    /// The capture cadence `n`; `0` never captures. Never after an
+    /// engine's confirming fixpoint hop or an oracle's confirming round
+    /// — a checkpoint always carries a run still in flight.
+    pub every_n: u64,
 }
 
 impl CheckpointPolicy {
@@ -76,32 +93,14 @@ impl CheckpointPolicy {
         CheckpointPolicy::default()
     }
 
-    /// Capture after every `n`-th engine hop.
-    pub fn every_hops(n: u64) -> Self {
-        CheckpointPolicy {
-            every_n_hops: n,
-            every_n_levels: 0,
-        }
+    /// Capture after every `n`-th hop or round.
+    pub fn every(n: u64) -> Self {
+        CheckpointPolicy { every_n: n }
     }
 
-    /// Capture after every `n`-th simulated oracle round.
-    pub fn every_levels(n: u64) -> Self {
-        CheckpointPolicy {
-            every_n_hops: 0,
-            every_n_levels: n,
-        }
-    }
-
-    /// `true` iff an engine hop numbered `hop` (1-based) is a capture
-    /// point.
-    pub fn hop_due(&self, hop: u64) -> bool {
-        self.every_n_hops != 0 && hop.is_multiple_of(self.every_n_hops)
-    }
-
-    /// `true` iff an oracle round numbered `round` (1-based) is a
-    /// capture point.
-    pub fn level_due(&self, round: u64) -> bool {
-        self.every_n_levels != 0 && round.is_multiple_of(self.every_n_levels)
+    /// `true` iff step `step` (1-based) is a capture point.
+    pub fn due(&self, step: u64) -> bool {
+        self.every_n != 0 && step.is_multiple_of(self.every_n)
     }
 }
 
@@ -118,14 +117,18 @@ pub struct Checkpoint<M> {
     pub states: Vec<M>,
 }
 
-/// Pre-engine validation of a checkpoint against the graph it claims to
-/// resume: every failure is a typed [`RunError::SnapshotCorrupt`], so
-/// decoded-from-disk checkpoints can never panic an engine.
-fn validate_checkpoint<S, M>(ckpt: &Checkpoint<M>, n: usize) -> Result<(), RunError>
+/// The hop a run starts at: `0`, or `from`'s hop once it validates
+/// against the graph it claims to resume. Every failure is a typed
+/// [`RunError::SnapshotCorrupt`], so decoded-from-disk checkpoints can
+/// never panic an engine.
+fn start_hop<S, M>(from: Option<&Checkpoint<M>>, n: usize) -> Result<u64, RunError>
 where
     S: Semiring,
     M: Semimodule<S>,
 {
+    let Some(ckpt) = from else {
+        return Ok(0);
+    };
     if ckpt.states.len() != n {
         return Err(RunError::SnapshotCorrupt {
             detail: format!(
@@ -153,7 +156,7 @@ where
         }
         prev = Some(v);
     }
-    Ok(())
+    Ok(ckpt.hop)
 }
 
 // ---------------------------------------------------------------------
@@ -186,7 +189,7 @@ pub(crate) trait Backend<A: MbfAlgorithm> {
 /// The engine fixpoint loop, shared by every backend and entry point:
 /// hops from `start_hop` until a hop changes nothing (that confirming
 /// hop is counted) or `cap` hops in total, calling `sink` after every
-/// hop [`CheckpointPolicy::hop_due`] marks — never after the confirming
+/// hop [`CheckpointPolicy::due`] marks — never after the confirming
 /// hop. A sink failure (e.g. a snapshot write that could not complete)
 /// aborts the run with its error.
 pub(crate) fn drive<A: MbfAlgorithm>(
@@ -209,7 +212,7 @@ pub(crate) fn drive<A: MbfAlgorithm>(
             fixpoint = true;
             break;
         }
-        if policy.hop_due(iterations as u64) {
+        if policy.due(iterations as u64) {
             sink(&Checkpoint {
                 hop: iterations as u64,
                 frontier: backend.frontier().to_vec(),
@@ -228,100 +231,66 @@ pub(crate) fn drive<A: MbfAlgorithm>(
 }
 
 // ---------------------------------------------------------------------
-// Owned backend.
+// The guarded drivers.
 // ---------------------------------------------------------------------
 
-/// Guarded owned-backend fixpoint run with checkpoint capture: the
-/// loop of [`crate::engine::try_run_to_fixpoint_with`], calling `sink`
-/// at every hop [`CheckpointPolicy::hop_due`] marks. A sink failure
-/// (e.g. a snapshot write that could not complete) aborts the run with
-/// its error.
+/// The guarded owned-backend run: fresh (`from: None`) or resumed from
+/// a checkpoint, capturing at every hop [`CheckpointPolicy::due`] marks.
+/// Panics become typed errors, injected faults are audited, final
+/// states are sanity-scanned. A run that exhausts `cap` without
+/// reaching the fixpoint is *not* an error: its [`RunReport`] says
+/// `converged: false`.
 pub fn try_run_checkpointed_with<A: MbfAlgorithm>(
     alg: &A,
     g: &Graph,
     cap: usize,
     strategy: EngineStrategy,
+    from: Option<&Checkpoint<A::M>>,
     policy: CheckpointPolicy,
     sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
 ) -> Result<(MbfRun<A::M>, RunReport), RunError> {
+    let start = start_hop::<A::S, _>(from, g.n())?;
     guarded::<A::S, _, _>(|| {
-        let backend = OwnedBackend::fresh(alg, g, strategy);
-        drive(alg, g, backend, 0, cap, policy, sink)
+        let backend = OwnedBackend::new(alg, g, strategy, from);
+        drive(alg, g, backend, start, cap, policy, sink)
     })
 }
 
-/// Guarded resume of an owned-backend run from a checkpoint: re-enters
-/// the fixpoint loop at the recorded hop with exactly the recorded
-/// residual frontier. Bit-identical to the uninterrupted run.
-pub fn try_resume_run_to_fixpoint_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    ckpt: &Checkpoint<A::M>,
-) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    validate_checkpoint::<A::S, _>(ckpt, g.n())?;
-    guarded::<A::S, _, _>(|| {
-        let backend = OwnedBackend::resume(g, strategy, ckpt);
-        let policy = CheckpointPolicy::disabled();
-        drive(alg, g, backend, ckpt.hop, cap, policy, |_| Ok(()))
-    })
-}
-
-// ---------------------------------------------------------------------
-// Arena backend.
-// ---------------------------------------------------------------------
-
-/// Guarded arena-backend fixpoint run with checkpoint capture (cf.
-/// [`try_run_checkpointed_with`]). Captures read the pool through the
-/// raw span accessor, so they record the true epoch state without
-/// consuming `arena_span_read` fault arrivals.
+/// The guarded arena-backend run (cf. [`try_run_checkpointed_with`]).
+/// Captures read the pool through the raw span accessor, so they record
+/// the true epoch state without consuming `arena_span_read` fault
+/// arrivals. A resumed run's **states** are bit-identical to the
+/// uninterrupted run's; work counters may differ by the taint-forced
+/// merges (see the module docs).
 pub fn try_run_checkpointed_arena_with<A: ArenaMbfAlgorithm>(
     alg: &A,
     g: &Graph,
     cap: usize,
     strategy: EngineStrategy,
+    from: Option<&Checkpoint<DistanceMap>>,
     policy: CheckpointPolicy,
     sink: impl FnMut(&Checkpoint<DistanceMap>) -> Result<(), RunError>,
 ) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
+    let start = start_hop::<MinPlus, _>(from, g.n())?;
     guarded::<MinPlus, _, _>(|| {
-        let backend = ArenaBackend::fresh(alg, g, strategy);
-        drive(alg, g, backend, 0, cap, policy, sink)
+        let backend = ArenaBackend::new(alg, g, strategy, from);
+        drive(alg, g, backend, start, cap, policy, sink)
     })
 }
 
-/// Guarded resume of an arena-backend run from a checkpoint. Resumed
-/// **states** are bit-identical to the uninterrupted run's; work
-/// counters may differ by the taint-forced merges (see the module
-/// docs).
-pub fn try_resume_run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    ckpt: &Checkpoint<DistanceMap>,
-) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
-    validate_checkpoint::<MinPlus, _>(ckpt, g.n())?;
-    guarded::<MinPlus, _, _>(|| {
-        let backend = ArenaBackend::resume(alg, g, strategy, ckpt);
-        let policy = CheckpointPolicy::disabled();
-        drive(alg, g, backend, ckpt.hop, cap, policy, |_| Ok(()))
-    })
-}
-
-// ---------------------------------------------------------------------
-// Dense backend.
-// ---------------------------------------------------------------------
-
-/// Guarded dense-backend fixpoint run with checkpoint capture (cf.
-/// [`crate::dense::try_run_to_fixpoint_dense_with`], including its
-/// pre-allocation budget check).
+/// The guarded dense-backend run (cf. [`try_run_checkpointed_with`]).
+/// Unlike the switching engine — which *degrades* to sparse — a
+/// dense-only run that cannot afford its `n × n` block has no fallback:
+/// a block over `budget_bytes` is a typed
+/// [`RunError::DenseBudgetExceeded`], checked before any allocation.
+#[allow(clippy::too_many_arguments)]
 pub fn try_run_checkpointed_dense_with<A>(
     alg: &A,
     g: &Graph,
     cap: usize,
     strategy: EngineStrategy,
     budget_bytes: Option<u64>,
+    from: Option<&Checkpoint<A::M>>,
     policy: CheckpointPolicy,
     sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
 ) -> Result<(MbfRun<A::M>, RunReport), RunError>
@@ -330,48 +299,26 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
+    let start = start_hop::<A::S, _>(from, g.n())?;
     guarded::<A::S, _, _>(|| {
-        let backend = DenseBackend::fresh(alg, g, strategy, budget_bytes)?;
-        drive(alg, g, backend, 0, cap, policy, sink)
+        let backend = DenseBackend::new(alg, g, strategy, budget_bytes, from)?;
+        drive(alg, g, backend, start, cap, policy, sink)
     })
 }
 
-/// Guarded resume of a dense-backend run from a checkpoint.
-/// Bit-identical to the uninterrupted run.
-pub fn try_resume_run_to_fixpoint_dense_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    ckpt: &Checkpoint<A::M>,
-) -> Result<(MbfRun<A::M>, RunReport), RunError>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    validate_checkpoint::<A::S, _>(ckpt, g.n())?;
-    guarded::<A::S, _, _>(|| {
-        let backend = DenseBackend::resume(alg, g, strategy, ckpt);
-        let policy = CheckpointPolicy::disabled();
-        drive(alg, g, backend, ckpt.hop, cap, policy, |_| Ok(()))
-    })
-}
-
-// ---------------------------------------------------------------------
-// Switching backend.
-// ---------------------------------------------------------------------
-
-/// Guarded switching-backend fixpoint run with checkpoint capture (cf.
-/// [`crate::dense::try_run_to_fixpoint_switching_with`]). Captures
-/// export from whichever representation is active — the two are
-/// bit-identical by the engine's conversion contract.
+/// The guarded switching-backend run (cf. [`try_run_checkpointed_with`]).
+/// Captures export from whichever representation is active — the two
+/// are bit-identical by the engine's conversion contract — and
+/// degradations the engine took (declined dense flips) surface in the
+/// [`RunReport`] instead of failing the run.
+#[allow(clippy::too_many_arguments)]
 pub fn try_run_checkpointed_switching_with<A>(
     alg: &A,
     g: &Graph,
     cap: usize,
     strategy: EngineStrategy,
     thresholds: SwitchThresholds,
+    from: Option<&Checkpoint<A::M>>,
     policy: CheckpointPolicy,
     sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
 ) -> Result<(MbfRun<A::M>, RunReport), RunError>
@@ -380,94 +327,59 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
+    let start = start_hop::<A::S, _>(from, g.n())?;
     guarded::<A::S, _, _>(|| {
-        let backend = SwitchingEngine::new(alg, g, strategy, thresholds);
-        drive(alg, g, backend, 0, cap, policy, sink)
+        let backend = SwitchingEngine::new(alg, g, strategy, thresholds).resume(alg, g, from);
+        drive(alg, g, backend, start, cap, policy, sink)
     })
 }
 
-/// Guarded resume of a switching-backend run. The resumed states stay
-/// bit-identical: the all-dirty seed only adds recomputations that are
-/// provable identities.
-pub fn try_resume_run_to_fixpoint_switching_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    thresholds: SwitchThresholds,
-    ckpt: &Checkpoint<A::M>,
-) -> Result<(MbfRun<A::M>, RunReport), RunError>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    validate_checkpoint::<A::S, _>(ckpt, g.n())?;
-    guarded::<A::S, _, _>(|| {
-        let backend = SwitchingEngine::resume(alg, g, strategy, thresholds, ckpt);
-        let policy = CheckpointPolicy::disabled();
-        drive(alg, g, backend, ckpt.hop, cap, policy, |_| Ok(()))
-    })
-}
-
-// ---------------------------------------------------------------------
-// Oracle.
-// ---------------------------------------------------------------------
-
-/// Guarded oracle run with checkpoint capture (cf.
-/// [`crate::oracle::try_oracle_run_to_fixpoint_with`]): `sink` fires
-/// after every simulated round [`CheckpointPolicy::level_due`] marks,
-/// with an empty frontier — the oracle's resume path re-primes its
-/// levels wholesale, which the carry-over schedule proves bit-identical
-/// to continuing.
-pub fn try_oracle_run_checkpointed_with<A>(
+/// The guarded `H`-oracle run on lane `L` (the owned
+/// [`crate::oracle::LevelScratch`], the arena [`crate::arena::ArenaLevel`]
+/// of the FRT path, or the dense [`crate::dense::DenseLevel`] of the
+/// metric path): fresh from `r^V x⁽⁰⁾`, or resumed at a checkpoint's
+/// round from its aggregate states on fresh levels. `sink` fires after
+/// every simulated round [`CheckpointPolicy::due`] marks, with an empty
+/// frontier — the resume path re-primes its levels wholesale, which the
+/// carry-over schedule proves bit-identical to continuing. An exhausted
+/// iteration budget is `converged: false`, not an error.
+pub fn try_oracle_run_checkpointed_with<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
     strategy: EngineStrategy,
+    from: Option<&Checkpoint<A::M>>,
     policy: CheckpointPolicy,
     mut sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
 ) -> Result<(OracleRun<A::M>, RunReport), RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
+    let n = sim.augmented().n();
+    let start = start_hop::<A::S, _>(from, n)?;
     guarded::<A::S, _, _>(|| {
-        let levels = &mut fresh_levels::<A, LevelScratch<A>>(sim, strategy);
-        let states = initial_states(alg, sim.augmented().n());
-        let run = oracle_loop(alg, sim, h, true, levels, states, 0, |round, states| {
-            if policy.level_due(round as u64) {
-                sink(&Checkpoint {
-                    hop: round as u64,
-                    frontier: Vec::new(),
-                    states: states.to_vec(),
-                })?;
-            }
-            Ok(())
-        })?;
-        Ok((run, Vec::new()))
-    })
-}
-
-/// Guarded resume of an oracle run from a checkpoint: re-enters the
-/// simulated-iteration loop at the recorded round with the recorded
-/// aggregate states and fresh levels. Bit-identical states and
-/// round counts.
-pub fn try_resume_oracle_run_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-    ckpt: &Checkpoint<A::M>,
-) -> Result<(OracleRun<A::M>, RunReport), RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    validate_checkpoint::<A::S, _>(ckpt, sim.augmented().n())?;
-    guarded::<A::S, _, _>(|| {
-        let levels = &mut fresh_levels::<A, LevelScratch<A>>(sim, strategy);
-        let states = ckpt.states.clone();
-        let hop = ckpt.hop as usize;
-        let run = oracle_loop(alg, sim, h, true, levels, states, hop, |_, _| Ok(()))?;
+        let levels = &mut fresh_levels::<A, L>(alg, sim, strategy);
+        let states = from.map_or_else(|| initial_states(alg, n), |c| c.states.clone());
+        let run = oracle_loop(
+            alg,
+            sim,
+            h,
+            true,
+            levels,
+            states,
+            start as usize,
+            |round, x| {
+                if policy.due(round as u64) {
+                    sink(&Checkpoint {
+                        hop: round as u64,
+                        frontier: Vec::new(),
+                        states: x.clone().into(),
+                    })?;
+                }
+                Ok(())
+            },
+        )?;
         Ok((run, Vec::new()))
     })
 }
@@ -476,8 +388,11 @@ where
 mod tests {
     use super::*;
     use crate::catalog::SourceDetection;
+    use crate::dense::DenseLevel;
     use crate::engine::run_to_fixpoint_with;
+    use crate::oracle::LevelScratch;
     use mte_algebra::Dist;
+    use rand::SeedableRng;
 
     fn fixture() -> Graph {
         // Deterministic small graph with enough hops to checkpoint
@@ -487,12 +402,35 @@ mod tests {
 
     #[test]
     fn policy_triggers() {
-        let p = CheckpointPolicy::every_hops(3);
-        assert!(!p.hop_due(1) && !p.hop_due(2) && p.hop_due(3) && p.hop_due(6));
-        assert!(!p.level_due(3));
-        assert!(!CheckpointPolicy::disabled().hop_due(1));
-        let l = CheckpointPolicy::every_levels(2);
-        assert!(l.level_due(2) && !l.level_due(3) && !l.hop_due(2));
+        let p = CheckpointPolicy::every(3);
+        assert!(!p.due(1) && !p.due(2) && p.due(3) && p.due(6) && !p.due(7));
+        assert!(!CheckpointPolicy::disabled().due(1));
+        assert_eq!(CheckpointPolicy::disabled(), CheckpointPolicy::every(0));
+        // The cadence engines count in hops (the driver contract test
+        // below) counts oracle rounds: every second round, never the
+        // confirming one.
+        let (g, alg) = (fixture(), SourceDetection::sssp(24, 0));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let sim = SimulatedGraph::without_hopset(&g, 4, 0.2, &mut rng);
+        let mut rounds = Vec::new();
+        let (run, _) = try_oracle_run_checkpointed_with::<_, LevelScratch<_>>(
+            &alg,
+            &sim,
+            100,
+            EngineStrategy::Frontier,
+            None,
+            CheckpointPolicy::every(2),
+            |c| {
+                rounds.push(c.hop);
+                Ok(())
+            },
+        )
+        .unwrap();
+        let want: Vec<u64> = (1..run.h_iterations as u64)
+            .filter(|r| r % 2 == 0)
+            .collect();
+        assert!(!want.is_empty(), "{} rounds", run.h_iterations);
+        assert_eq!(rounds, want);
     }
 
     #[test]
@@ -508,7 +446,8 @@ mod tests {
             &g,
             cap,
             strategy,
-            CheckpointPolicy::every_hops(1),
+            None,
+            CheckpointPolicy::every(1),
             |c| {
                 checkpoints.push(c.clone());
                 Ok(())
@@ -519,8 +458,7 @@ mod tests {
         assert_eq!(run.iterations, reference.iterations);
         assert!(!checkpoints.is_empty());
         for ckpt in &checkpoints {
-            let (resumed, report) =
-                try_resume_run_to_fixpoint_with(&alg, &g, cap, strategy, ckpt).unwrap();
+            let (resumed, report) = resume(Kind::Owned, &alg, &g, cap, ckpt);
             assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
             assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
             assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -548,9 +486,10 @@ mod tests {
             states: initial_states(&alg, g.n()),
         };
         for ckpt in [short, wild, unsorted] {
-            let err =
-                try_resume_run_to_fixpoint_with(&alg, &g, g.n(), EngineStrategy::Frontier, &ckpt)
-                    .unwrap_err();
+            let s = EngineStrategy::Frontier;
+            let off = CheckpointPolicy::disabled();
+            let err = try_run_checkpointed_with(&alg, &g, g.n(), s, Some(&ckpt), off, |_| Ok(()))
+                .unwrap_err();
             assert!(
                 matches!(err, RunError::SnapshotCorrupt { .. }),
                 "wrong error: {err:?}"
@@ -567,7 +506,8 @@ mod tests {
             &g,
             g.n() + 1,
             EngineStrategy::Frontier,
-            CheckpointPolicy::every_hops(2),
+            None,
+            CheckpointPolicy::every(2),
             |_| {
                 Err(RunError::SnapshotCorrupt {
                     detail: "sink refused".to_string(),
@@ -604,6 +544,29 @@ mod tests {
         budget_bytes: None,
     };
 
+    /// `kind`'s guarded driver from `from`, unwrapped.
+    fn try_run(
+        kind: Kind,
+        alg: &SourceDetection,
+        g: &Graph,
+        cap: usize,
+        from: Option<&Checkpoint<DistanceMap>>,
+        policy: CheckpointPolicy,
+        sink: impl FnMut(&Checkpoint<DistanceMap>) -> Result<(), RunError>,
+    ) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
+        let s = EngineStrategy::Frontier;
+        match kind {
+            Kind::Owned => try_run_checkpointed_with(alg, g, cap, s, from, policy, sink),
+            Kind::Arena => try_run_checkpointed_arena_with(alg, g, cap, s, from, policy, sink),
+            Kind::Dense => {
+                try_run_checkpointed_dense_with(alg, g, cap, s, None, from, policy, sink)
+            }
+            Kind::Switching => {
+                try_run_checkpointed_switching_with(alg, g, cap, s, FLIP_EARLY, from, policy, sink)
+            }
+        }
+    }
+
     fn run_checkpointed(
         kind: Kind,
         alg: &SourceDetection,
@@ -612,18 +575,10 @@ mod tests {
         policy: CheckpointPolicy,
         sink: impl FnMut(&Checkpoint<DistanceMap>) -> Result<(), RunError>,
     ) -> (MbfRun<DistanceMap>, RunReport) {
-        let s = EngineStrategy::Frontier;
-        match kind {
-            Kind::Owned => try_run_checkpointed_with(alg, g, cap, s, policy, sink),
-            Kind::Arena => try_run_checkpointed_arena_with(alg, g, cap, s, policy, sink),
-            Kind::Dense => try_run_checkpointed_dense_with(alg, g, cap, s, None, policy, sink),
-            Kind::Switching => {
-                try_run_checkpointed_switching_with(alg, g, cap, s, FLIP_EARLY, policy, sink)
-            }
-        }
-        .unwrap()
+        try_run(kind, alg, g, cap, None, policy, sink).unwrap()
     }
 
+    /// Resumes `kind` from `ckpt` with capture disabled.
     fn resume(
         kind: Kind,
         alg: &SourceDetection,
@@ -631,16 +586,8 @@ mod tests {
         cap: usize,
         ckpt: &Checkpoint<DistanceMap>,
     ) -> (MbfRun<DistanceMap>, RunReport) {
-        let s = EngineStrategy::Frontier;
-        match kind {
-            Kind::Owned => try_resume_run_to_fixpoint_with(alg, g, cap, s, ckpt),
-            Kind::Arena => try_resume_run_to_fixpoint_arena_with(alg, g, cap, s, ckpt),
-            Kind::Dense => try_resume_run_to_fixpoint_dense_with(alg, g, cap, s, ckpt),
-            Kind::Switching => {
-                try_resume_run_to_fixpoint_switching_with(alg, g, cap, s, FLIP_EARLY, ckpt)
-            }
-        }
-        .unwrap()
+        let off = CheckpointPolicy::disabled();
+        try_run(kind, alg, g, cap, Some(ckpt), off, |_| Ok(())).unwrap()
     }
 
     #[test]
@@ -667,38 +614,25 @@ mod tests {
             assert_eq!((run.iterations, run.fixpoint), (cap, false), "{kind:?}");
             assert_eq!((report.hops, report.converged), (cap as u64, false));
 
-            // every_hops(1): hops 1..iterations-1, never the confirming hop.
+            // every(1): hops 1..iterations-1, never the confirming hop.
             let mut seen = Vec::new();
-            let (run, report) = run_checkpointed(
-                kind,
-                &alg,
-                &g,
-                g.n() + 1,
-                CheckpointPolicy::every_hops(1),
-                |c| {
+            let (run, report) =
+                run_checkpointed(kind, &alg, &g, g.n() + 1, CheckpointPolicy::every(1), |c| {
                     seen.push(c.clone());
                     Ok(())
-                },
-            );
+                });
             assert_eq!(run.states, full.states, "{kind:?}");
             assert_eq!(run.iterations, full.iterations, "{kind:?}");
             assert!(report.converged, "{kind:?}");
             let hops: Vec<u64> = seen.iter().map(|c| c.hop).collect();
             assert_eq!(hops, (1..run.iterations as u64).collect::<Vec<_>>());
 
-            // every_hops(2): only the even hops.
+            // every(2): only the even hops.
             let mut even = Vec::new();
-            run_checkpointed(
-                kind,
-                &alg,
-                &g,
-                g.n() + 1,
-                CheckpointPolicy::every_hops(2),
-                |c| {
-                    even.push(c.hop);
-                    Ok(())
-                },
-            );
+            run_checkpointed(kind, &alg, &g, g.n() + 1, CheckpointPolicy::every(2), |c| {
+                even.push(c.hop);
+                Ok(())
+            });
             let want: Vec<u64> = (1..run.iterations as u64).filter(|h| h % 2 == 0).collect();
             assert_eq!(even, want, "{kind:?}");
 
@@ -711,6 +645,18 @@ mod tests {
             assert_eq!((resumed.iterations, resumed.fixpoint), (cap, false));
             assert_eq!(resumed.work.iterations, 0, "{kind:?}");
             assert!(!report.converged);
+
+            // A resumed run keeps capturing under its policy, from the
+            // hop after the one it resumed at.
+            let mut later = Vec::new();
+            let every1 = CheckpointPolicy::every(1);
+            let (resumed, _) = try_run(kind, &alg, &g, g.n() + 1, Some(ckpt), every1, |c| {
+                later.push(c.clone());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(resumed.states, full.states, "{kind:?}");
+            assert_eq!(later, seen[cap..], "{kind:?}");
         }
     }
 
@@ -732,7 +678,6 @@ mod tests {
     fn checkpoint_naming_an_out_of_range_node_is_corrupt_on_every_backend() {
         use crate::frt::le_list::{LeListAlgorithm, Ranks};
         use rand::rngs::StdRng;
-        use rand::SeedableRng;
         use std::sync::Arc;
 
         let g = mte_graph::generators::path_graph(8, 1.0);
@@ -746,28 +691,33 @@ mod tests {
 
         let kssp = SourceDetection::k_ssp(n, 2);
         let ckpt = bad(initial_states(&kssp, n));
+        let off = CheckpointPolicy::disabled();
+        let ok = |_: &Checkpoint<DistanceMap>| Ok(());
+        let from = Some(&ckpt);
         assert_corrupt(
             "owned",
-            try_resume_run_to_fixpoint_with(&kssp, &g, n, s, &ckpt),
+            try_run_checkpointed_with(&kssp, &g, n, s, from, off, ok),
         );
 
         let mut rng = StdRng::seed_from_u64(5);
         let le = LeListAlgorithm::new(Arc::new(Ranks::sample(n, &mut rng)));
         let ckpt = bad(initial_states(&le, n));
+        let from = Some(&ckpt);
         assert_corrupt(
             "arena LE",
-            try_resume_run_to_fixpoint_arena_with(&le, &g, n, s, &ckpt),
+            try_run_checkpointed_arena_with(&le, &g, n, s, from, off, ok),
         );
 
         let apsp = SourceDetection::apsp(n);
         let ckpt = bad(initial_states(&apsp, n));
+        let from = Some(&ckpt);
         assert_corrupt(
             "dense",
-            try_resume_run_to_fixpoint_dense_with(&apsp, &g, n, s, &ckpt),
+            try_run_checkpointed_dense_with(&apsp, &g, n, s, None, from, off, ok),
         );
         assert_corrupt(
             "switching",
-            try_resume_run_to_fixpoint_switching_with(&apsp, &g, n, s, FLIP_EARLY, &ckpt),
+            try_run_checkpointed_switching_with(&apsp, &g, n, s, FLIP_EARLY, from, off, ok),
         );
 
         let sim = SimulatedGraph::without_hopset(&g, 7, 0.2, &mut rng);
@@ -777,17 +727,21 @@ mod tests {
             frontier: Vec::new(),
             states: with_far_entry(initial_states(&kssp, m), m as NodeId + 32),
         };
+        let from = Some(&ckpt);
         assert_corrupt(
             "oracle",
-            try_resume_oracle_run_with(&kssp, &sim, n, s, &ckpt),
+            try_oracle_run_checkpointed_with::<_, LevelScratch<_>>(
+                &kssp, &sim, n, s, from, off, ok,
+            ),
         );
     }
 
     #[test]
     fn guarded_dense_drivers_type_a_non_dense_algorithm() {
         // A truncating top-k never advertises dense states: every
-        // guarded dense entry point must return the typed error, not
-        // unwind through the caller.
+        // guarded dense entry point — fresh, resumed, and the dense
+        // oracle lane — must return the typed error, not unwind through
+        // the caller.
         let g = fixture();
         let alg = SourceDetection::k_ssp(g.n(), 3);
         let s = EngineStrategy::Frontier;
@@ -797,19 +751,18 @@ mod tests {
             frontier: Vec::new(),
             states: initial_states(&alg, g.n()),
         };
+        let every1 = CheckpointPolicy::every(1);
+        let ok = |_: &Checkpoint<DistanceMap>| Ok(());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let sim = SimulatedGraph::without_hopset(&g, 4, 0.2, &mut rng);
         let results = [
-            crate::dense::try_run_to_fixpoint_dense_with(&alg, &g, cap, s, None).map(|_| ()),
-            try_run_checkpointed_dense_with(
-                &alg,
-                &g,
-                cap,
-                s,
-                None,
-                CheckpointPolicy::every_hops(1),
-                |_| Ok(()),
+            try_run_checkpointed_dense_with(&alg, &g, cap, s, None, None, every1, ok).map(|_| ()),
+            try_run_checkpointed_dense_with(&alg, &g, cap, s, None, Some(&ckpt), every1, ok)
+                .map(|_| ()),
+            try_oracle_run_checkpointed_with::<_, DenseLevel<_>>(
+                &alg, &sim, cap, s, None, every1, ok,
             )
             .map(|_| ()),
-            try_resume_run_to_fixpoint_dense_with(&alg, &g, cap, s, &ckpt).map(|_| ()),
         ];
         for result in results {
             assert!(
@@ -829,6 +782,7 @@ mod tests {
             &g,
             g.n() + 1,
             EngineStrategy::Frontier,
+            None,
             CheckpointPolicy::disabled(),
             |_| {
                 calls += 1;

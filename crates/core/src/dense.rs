@@ -53,8 +53,8 @@
 //!
 //! # Oracle routing
 //!
-//! [`oracle_run_dense_with_schedule`] runs the one oracle loop of
-//! [`crate::oracle`] on dense lanes: every level vector `y_λ` and the
+//! The dense lane [`DenseLevel`] runs the one oracle loop of
+//! [`crate::oracle`] on blocks: every level vector `y_λ` and the
 //! aggregate `x` are blocks, and the lane's slot work is row-wise
 //! ([`fold_row_into`], [`DenseMbfAlgorithm::dense_filter`]). Min over
 //! `f64` is exact and `dense_filter ≡ filter`, so states, iteration
@@ -62,16 +62,12 @@
 //! `approximate_metric_on` (Theorem 6.1 — the APSP query, whose output
 //! *is* an `n × n` matrix) routes through it.
 
-use crate::checkpoint::{
-    drive, try_run_checkpointed_dense_with, try_run_checkpointed_switching_with, Backend,
-    Checkpoint, CheckpointPolicy,
-};
+use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
 use crate::engine::{
     initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
 };
-use crate::error::{Degradation, RunError, RunReport};
-use crate::oracle::{run_lanes, Lane, Level, OracleRun};
-use crate::simgraph::SimulatedGraph;
+use crate::error::{Degradation, RunError};
+use crate::oracle::{Lane, Level};
 use crate::work::WorkStats;
 use mte_algebra::dense::{
     fold_row_into, relax_rows_into, relax_rows_tracked, rows_equal, DenseBlock, DenseKernel,
@@ -439,7 +435,7 @@ where
     A::M: DenseState<A::S>,
 {
     let policy = CheckpointPolicy::disabled();
-    match DenseBackend::fresh(alg, g, strategy, None)
+    match DenseBackend::new(alg, g, strategy, None, None)
         .and_then(|backend| drive(alg, g, backend, 0, cap, policy, |_| Ok(())))
     {
         Ok((run, _)) => run,
@@ -463,14 +459,16 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    /// `r^V x⁽⁰⁾` as an `n × n` block, every vertex dirty. A block over
-    /// `budget_bytes` is a typed [`RunError::DenseBudgetExceeded`],
+    /// `r^V x⁽⁰⁾` as an `n × n` block with every vertex dirty, or
+    /// `from`'s states with exactly its recorded frontier seeded. A block
+    /// over `budget_bytes` is a typed [`RunError::DenseBudgetExceeded`],
     /// checked before allocating.
-    pub(crate) fn fresh(
+    pub(crate) fn new(
         alg: &A,
         g: &Graph,
         strategy: EngineStrategy,
         budget_bytes: Option<u64>,
+        from: Option<&Checkpoint<A::M>>,
     ) -> Result<Self, RunError> {
         let n = g.n();
         let requested = DenseBlock::<A::S>::bytes_for(n, n);
@@ -486,29 +484,19 @@ where
             alg.advertises_dense(),
             "algorithm instance does not advertise dense states"
         );
-        let block = initial_block(alg, n);
         let mut engine = DenseEngine::new(strategy);
-        engine.mark_all_dirty(g);
+        let block = match from {
+            None => {
+                engine.mark_all_dirty(g);
+                initial_block(alg, n)
+            }
+            Some(ckpt) => {
+                engine.ensure_sized(g);
+                engine.mark_dirty(g, ckpt.frontier.iter().copied());
+                DenseBlock::from_states(&ckpt.states, n)
+            }
+        };
         Ok(DenseBackend { engine, block })
-    }
-
-    /// The checkpoint's states converted into a fresh block, with
-    /// exactly its recorded frontier seeded.
-    pub(crate) fn resume(
-        alg: &A,
-        g: &Graph,
-        strategy: EngineStrategy,
-        ckpt: &Checkpoint<A::M>,
-    ) -> Self {
-        assert!(
-            alg.advertises_dense(),
-            "algorithm instance does not advertise dense states"
-        );
-        let block = DenseBlock::from_states(&ckpt.states, g.n());
-        let mut engine = DenseEngine::new(strategy);
-        engine.ensure_sized(g);
-        engine.mark_dirty(g, ckpt.frontier.iter().copied());
-        DenseBackend { engine, block }
     }
 }
 
@@ -694,25 +682,20 @@ where
         }
     }
 
-    /// A fresh engine with the checkpoint's states assigned in: every
-    /// vertex dirty — a sound *superset* of the recorded frontier, so
-    /// the extra recomputations are provable identities — and only the
-    /// states that differ from `r^V x⁽⁰⁾` rewritten.
-    pub(crate) fn resume(
-        alg: &A,
-        g: &Graph,
-        strategy: EngineStrategy,
-        thresholds: SwitchThresholds,
-        ckpt: &Checkpoint<A::M>,
-    ) -> Self {
-        let mut engine = SwitchingEngine::new(alg, g, strategy, thresholds);
-        let fresh = initial_states(alg, g.n());
-        for (v, (state, init)) in ckpt.states.iter().zip(&fresh).enumerate() {
-            if state != init {
-                engine.assign_dirty(alg, g, v as NodeId, state);
+    /// The engine with `from`'s states (if any) assigned in: every
+    /// vertex stays dirty — a sound *superset* of the recorded frontier,
+    /// so the extra recomputations are provable identities — and only
+    /// the states that differ from `r^V x⁽⁰⁾` are rewritten.
+    pub(crate) fn resume(mut self, alg: &A, g: &Graph, from: Option<&Checkpoint<A::M>>) -> Self {
+        if let Some(ckpt) = from {
+            let fresh = initial_states(alg, g.n());
+            for (v, (state, init)) in ckpt.states.iter().zip(&fresh).enumerate() {
+                if state != init {
+                    self.assign_dirty(alg, g, v as NodeId, state);
+                }
             }
         }
-        engine
+        self
     }
 
     /// Degradations this engine took so far (declined dense flips).
@@ -932,79 +915,47 @@ where
     }
 }
 
-/// Guarded [`run_to_fixpoint_switching_with`]: panics become typed
-/// errors, injected faults are audited, exported states are scanned —
-/// and degradations the engine took (declined dense flips) surface in
-/// the [`RunReport`] instead of failing the run.
-pub fn try_run_to_fixpoint_switching_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    thresholds: SwitchThresholds,
-) -> Result<(MbfRun<A::M>, RunReport), RunError>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    let policy = CheckpointPolicy::disabled();
-    try_run_checkpointed_switching_with(alg, g, cap, strategy, thresholds, policy, |_| Ok(()))
-}
-
-/// Guarded [`run_to_fixpoint_dense_with`] with an explicit memory
-/// budget. Unlike the switching engine — which *degrades* to sparse —
-/// a dense-only run that cannot afford its `n × n` block has no
-/// fallback: the budget violation is a typed
-/// [`RunError::DenseBudgetExceeded`], checked before any allocation.
-pub fn try_run_to_fixpoint_dense_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    budget_bytes: Option<u64>,
-) -> Result<(MbfRun<A::M>, RunReport), RunError>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    let policy = CheckpointPolicy::disabled();
-    try_run_checkpointed_dense_with(alg, g, cap, strategy, budget_bytes, policy, |_| Ok(()))
-}
-
 // ---------------------------------------------------------------------
 // The dense oracle: Λ+1 level lanes as dense blocks.
 // ---------------------------------------------------------------------
 
-/// The dense oracle's aggregate: `x` as a block, the shadow block the
-/// aggregation folds into, and the `⊥` row that lanes project onto.
-pub(crate) struct DenseAggregate {
-    block: DenseBlock<MinPlus>,
-    shadow: Vec<MinPlus>,
-    zero_row: Vec<MinPlus>,
-}
+/// The dense lane's aggregate, in a private module: the sealed lane
+/// trait names it, so it is `pub`, but no other crate can reach it.
+mod aggregate {
+    use super::*;
 
-impl<M: DenseState<MinPlus>> From<Vec<M>> for DenseAggregate {
-    fn from(states: Vec<M>) -> Self {
-        let k = states.len();
-        DenseAggregate {
-            block: DenseBlock::from_states(&states, k),
-            shadow: vec![<MinPlus as Semiring>::zero(); k * k],
-            zero_row: vec![<MinPlus as Semiring>::zero(); k],
+    /// The dense oracle's aggregate: `x` as a block, the shadow block the
+    /// aggregation folds into, and the `⊥` row that lanes project onto.
+    #[derive(Clone)]
+    pub struct DenseAggregate {
+        pub(super) block: DenseBlock<MinPlus>,
+        pub(super) shadow: Vec<MinPlus>,
+        pub(super) zero_row: Vec<MinPlus>,
+    }
+
+    impl<M: DenseState<MinPlus>> From<Vec<M>> for DenseAggregate {
+        fn from(states: Vec<M>) -> Self {
+            let k = states.len();
+            DenseAggregate {
+                block: DenseBlock::from_states(&states, k),
+                shadow: vec![<MinPlus as Semiring>::zero(); k * k],
+                zero_row: vec![<MinPlus as Semiring>::zero(); k],
+            }
+        }
+    }
+
+    impl<M: DenseState<MinPlus>> From<DenseAggregate> for Vec<M> {
+        fn from(x: DenseAggregate) -> Self {
+            x.block.export()
         }
     }
 }
+use aggregate::DenseAggregate;
 
-impl<M: DenseState<MinPlus>> From<DenseAggregate> for Vec<M> {
-    fn from(x: DenseAggregate) -> Self {
-        x.block.export()
-    }
-}
-
-/// The dense lane: `y_λ` as a block stepped by a [`DenseEngine`], plus
-/// one reusable `k`-wide row for the closure fold `r(y_λ[v] ⊕ x[v])`.
-pub(crate) struct DenseLevel<A: DenseMbfAlgorithm>
+/// The dense oracle lane, the one `approximate_metric` runs: `y_λ` as a
+/// block stepped by a [`DenseEngine`], plus one reusable `k`-wide row
+/// for the closure fold `r(y_λ[v] ⊕ x[v])`.
+pub struct DenseLevel<A: DenseMbfAlgorithm>
 where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
@@ -1022,7 +973,11 @@ where
     type X = DenseAggregate;
     type Staged = ();
 
-    fn new(strategy: EngineStrategy, n: usize) -> Self {
+    fn new(alg: &A, strategy: EngineStrategy, n: usize) -> Self {
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
         let mut engine = DenseEngine::new(strategy);
         engine.enable_change_log();
         DenseLevel {
@@ -1105,51 +1060,12 @@ where
     }
 }
 
-/// [`crate::oracle::oracle_run_with_schedule`] on dense lanes: every
-/// level vector `y_λ` and the aggregate `x` live as [`DenseBlock`]s.
-/// Bit-identical states, iteration counts, and fixpoint flags (only the
-/// work counters differ; see [`DenseEngine::step`]).
-pub fn oracle_run_dense_with_schedule<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-    carry_over: bool,
-) -> OracleRun<A::M>
-where
-    A: DenseMbfAlgorithm<S = MinPlus>,
-    A::M: DenseState<A::S>,
-{
-    assert!(
-        alg.advertises_dense(),
-        "algorithm instance does not advertise dense states"
-    );
-    let states = initial_states(alg, sim.augmented().n());
-    run_lanes::<A, DenseLevel<A>>(alg, sim, h, strategy, carry_over, states)
-}
-
-/// Iterates the dense oracle to a fixpoint under the production
-/// carry-over schedule, capped at `cap` simulated iterations (the
-/// capped run *is* the run-to-fixpoint — the fixpoint check stops
-/// early).
-pub fn oracle_run_dense_to_fixpoint_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
-where
-    A: DenseMbfAlgorithm<S = MinPlus>,
-    A::M: DenseState<A::S>,
-{
-    oracle_run_dense_with_schedule(alg, sim, cap, strategy, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::{Connectivity, SourceDetection, WidestPaths};
     use crate::engine::{run_to_fixpoint_with, EngineStrategy};
+    use crate::oracle::{oracle_run_with_schedule, LevelScratch};
     use mte_graph::generators::{gnm_graph, grid_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1347,20 +1263,11 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
         let cap = 4 * g.n();
         for carry_over in [true, false] {
-            let owned = crate::oracle::oracle_run_with_schedule(
-                &alg,
-                &sim,
-                cap,
-                EngineStrategy::Frontier,
-                carry_over,
-            );
-            let dense = oracle_run_dense_with_schedule(
-                &alg,
-                &sim,
-                cap,
-                EngineStrategy::Frontier,
-                carry_over,
-            );
+            let s = EngineStrategy::Frontier;
+            let owned =
+                oracle_run_with_schedule::<_, LevelScratch<_>>(&alg, &sim, cap, s, carry_over);
+            let dense =
+                oracle_run_with_schedule::<_, DenseLevel<_>>(&alg, &sim, cap, s, carry_over);
             assert_eq!(owned.states, dense.states, "carry={carry_over}");
             assert_eq!(owned.h_iterations, dense.h_iterations);
             assert_eq!(owned.fixpoint, dense.fixpoint);

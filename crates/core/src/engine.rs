@@ -85,7 +85,7 @@
 //! `tests/schedule_equivalence.rs`).
 
 use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
-use crate::error::{Degradation, RunError, RunReport};
+use crate::error::Degradation;
 use crate::work::WorkStats;
 use mte_algebra::{Filter, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
@@ -895,7 +895,7 @@ pub fn run_to_fixpoint_with<A: MbfAlgorithm>(
     cap: usize,
     strategy: EngineStrategy,
 ) -> MbfRun<A::M> {
-    let backend = OwnedBackend::fresh(alg, g, strategy);
+    let backend = OwnedBackend::new(alg, g, strategy, None);
     let policy = CheckpointPolicy::disabled();
     match drive(alg, g, backend, 0, cap, policy, |_| Ok(())) {
         Ok((run, _)) => run,
@@ -911,21 +911,6 @@ where
     run_to_fixpoint_with(alg, g, cap, EngineStrategy::default())
 }
 
-/// Guarded [`run_to_fixpoint_with`]: panics become typed errors,
-/// injected faults are audited, final states are sanity-scanned. On
-/// success the [`RunReport`] carries convergence and hop metadata; a
-/// run that exhausts `cap` without reaching the fixpoint is *not* an
-/// error, it returns `converged: false`.
-pub fn try_run_to_fixpoint_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    let policy = CheckpointPolicy::disabled();
-    crate::checkpoint::try_run_checkpointed_with(alg, g, cap, strategy, policy, |_| Ok(()))
-}
-
 /// The owned backend of the fixpoint driver: an [`MbfEngine`] and the
 /// state vector it steps.
 pub(crate) struct OwnedBackend<A: MbfAlgorithm> {
@@ -934,21 +919,26 @@ pub(crate) struct OwnedBackend<A: MbfAlgorithm> {
 }
 
 impl<A: MbfAlgorithm> OwnedBackend<A> {
-    /// `r^V x⁽⁰⁾`, every vertex dirty.
-    pub(crate) fn fresh(alg: &A, g: &Graph, strategy: EngineStrategy) -> Self {
-        let states = initial_states(alg, g.n());
+    /// `r^V x⁽⁰⁾` with every vertex dirty, or `from`'s states with
+    /// exactly its recorded frontier seeded.
+    pub(crate) fn new(
+        alg: &A,
+        g: &Graph,
+        strategy: EngineStrategy,
+        from: Option<&Checkpoint<A::M>>,
+    ) -> Self {
         let mut engine = MbfEngine::new(strategy);
-        engine.mark_all_dirty(g);
-        OwnedBackend { engine, states }
-    }
-
-    /// The checkpoint's states with exactly its recorded frontier
-    /// seeded.
-    pub(crate) fn resume(g: &Graph, strategy: EngineStrategy, ckpt: &Checkpoint<A::M>) -> Self {
-        let states = ckpt.states.clone();
-        let mut engine = MbfEngine::new(strategy);
-        engine.prime(g);
-        engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        let states = match from {
+            None => {
+                engine.mark_all_dirty(g);
+                initial_states(alg, g.n())
+            }
+            Some(ckpt) => {
+                engine.prime(g);
+                engine.mark_dirty(g, ckpt.frontier.iter().copied());
+                ckpt.states.clone()
+            }
+        };
         OwnedBackend { engine, states }
     }
 }

@@ -1,6 +1,6 @@
 //! Typed run errors and run reports for the MBF pipeline.
 //!
-//! The `try_*` entry points on the engines and the oracle wrap a run in
+//! The guarded drivers of [`crate::checkpoint`] wrap a run in
 //! [`run_guarded`]: the closure executes under `catch_unwind`, and after
 //! it returns the fault registry's fired log is audited for injected
 //! faults that no layer absorbed. The contract the differential fault
@@ -288,7 +288,7 @@ impl<M> Finished<M> for OracleRun<M> {
     }
 
     fn progress(&self) -> (bool, u64) {
-        (self.converged, self.hops)
+        (self.fixpoint, self.work.iterations)
     }
 }
 
@@ -396,8 +396,9 @@ impl Supervisor {
     /// Runs `entry` down the recovery ladder until a rung succeeds.
     ///
     /// `entry` is invoked with the [`RecoveryAttempt`] describing the
-    /// rung; it should wrap one of the guarded `try_*` twins (or a
-    /// checkpointed/resume driver). On success the ladder's history is
+    /// rung; it should wrap one of the guarded drivers of
+    /// [`crate::checkpoint`], resuming from a checkpoint on the retry
+    /// rung. On success the ladder's history is
     /// merged into the returned [`RunReport::degradations`]. If every
     /// allowed rung fails, the result is
     /// [`RunError::RetriesExhausted`] wrapping the last rung's error.
@@ -644,8 +645,8 @@ mod tests {
     #[test]
     fn checkpoint_naming_an_out_of_range_node_costs_one_retry() {
         use crate::catalog::SourceDetection;
-        use crate::checkpoint::{try_resume_run_to_fixpoint_with, Checkpoint};
-        use crate::engine::{initial_states, try_run_to_fixpoint_with, EngineStrategy};
+        use crate::checkpoint::{try_run_checkpointed_with, Checkpoint, CheckpointPolicy};
+        use crate::engine::{initial_states, EngineStrategy};
         use mte_algebra::{Dist, DistanceMap};
 
         // A decoded checkpoint can name a node the graph does not have:
@@ -663,13 +664,16 @@ mod tests {
         let s = EngineStrategy::Frontier;
         let cap = g.n() + 1;
         let sup = Supervisor::new(RecoveryPolicy::default());
+        let off = CheckpointPolicy::disabled();
         let (run, report) = sup
             .run(|attempt| match attempt {
                 RecoveryAttempt::Primary => Err(boom()),
                 RecoveryAttempt::RetryFromCheckpoint { .. } => {
-                    try_resume_run_to_fixpoint_with(&alg, &g, cap, s, &ckpt)
+                    try_run_checkpointed_with(&alg, &g, cap, s, Some(&ckpt), off, |_| Ok(()))
                 }
-                RecoveryAttempt::Scratch => try_run_to_fixpoint_with(&alg, &g, cap, s),
+                RecoveryAttempt::Scratch => {
+                    try_run_checkpointed_with(&alg, &g, cap, s, None, off, |_| Ok(()))
+                }
             })
             .unwrap();
         assert!(run.fixpoint);

@@ -34,11 +34,11 @@
 //! change something, the `Σ|x_v|` charge of Lemmas 7.6/7.8.
 
 use crate::arena::{
-    oracle_run_arena_to_fixpoint_with, run_to_fixpoint_arena_with, ArenaMbfAlgorithm, RecomputeCtx,
-    SpanRecompute, MASK_ALL,
+    run_to_fixpoint_arena_with, ArenaLevel, ArenaMbfAlgorithm, RecomputeCtx, SpanRecompute,
+    MASK_ALL,
 };
 use crate::engine::{EngineStrategy, MbfAlgorithm};
-use crate::oracle::default_iteration_cap;
+use crate::oracle::{default_iteration_cap, oracle_run_to_fixpoint_with};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut};
@@ -650,7 +650,7 @@ pub fn le_lists_oracle_with(
 ) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
     let cap = cap.unwrap_or_else(|| default_iteration_cap(sim.base().n()));
-    let run = oracle_run_arena_to_fixpoint_with(&alg, sim, cap, strategy);
+    let run = oracle_run_to_fixpoint_with::<_, ArenaLevel>(&alg, sim, cap, strategy);
     let lists = run
         .states
         .iter()

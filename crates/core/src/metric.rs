@@ -8,9 +8,9 @@
 //!   near-`n²` work on dense graphs.
 
 use crate::catalog::SourceDetection;
-use crate::dense::oracle_run_dense_to_fixpoint_with;
+use crate::dense::DenseLevel;
 use crate::engine::EngineStrategy;
-use crate::oracle::{default_iteration_cap, oracle_run_to_fixpoint};
+use crate::oracle::{default_iteration_cap, oracle_run_to_fixpoint, oracle_run_to_fixpoint_with};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{Dist, NodeId};
@@ -118,7 +118,8 @@ fn approximate_metric_routed(
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
     let run = if dense_bytes <= dense_budget {
-        oracle_run_dense_to_fixpoint_with(&alg, sim, cap, EngineStrategy::default())
+        let strategy = EngineStrategy::default();
+        oracle_run_to_fixpoint_with::<_, DenseLevel<_>>(&alg, sim, cap, strategy)
     } else {
         oracle_run_to_fixpoint(&alg, sim, cap)
     };

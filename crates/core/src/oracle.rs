@@ -16,15 +16,20 @@
 //!
 //! One loop, `oracle_loop`, runs every backend: the round schedule, the
 //! level fan-out, each level's `d`-hop loop, the aggregation and the
-//! fixpoint test. A backend supplies only a per-level **lane** (the
-//! crate-private `Lane` trait): the buffer `y_λ` and the engine that hops
-//! it. Lanes differ only in storage — a `Vec<M>` here (`LevelScratch`),
-//! an epoch-pool lane in [`crate::arena`], dense rows in
-//! [`crate::dense`]. A lane's engine carries `y_λ` across simulated
-//! `H`-iterations. Hops after a level's fixpoint are skipped outright —
-//! the iteration map is deterministic, so an unchanged state vector can
-//! never change again, and the result is bit-identical to running all
-//! `d` hops. A level's very first round rewrites `y_λ ← P_λ x`
+//! fixpoint test. A backend supplies only a per-level **lane**: the
+//! buffer `y_λ` and the engine that hops it. Lanes differ only in
+//! storage — a `Vec<M>` ([`LevelScratch`]), an epoch-pool lane
+//! ([`crate::arena::ArenaLevel`], the FRT path), or dense rows
+//! ([`crate::dense::DenseLevel`], the metric path) — and the lane is the
+//! type parameter `L` of [`oracle_run_with_schedule`],
+//! [`oracle_run_to_fixpoint_with`] and the guarded, checkpointed
+//! [`crate::checkpoint::try_oracle_run_checkpointed_with`]. The lane
+//! trait is sealed: the three lane types are its only implementors.
+//!
+//! A lane's engine carries `y_λ` across simulated `H`-iterations. Hops
+//! after a level's fixpoint are skipped outright — the iteration map is
+//! deterministic, so an unchanged state vector can never change again,
+//! and the result is bit-identical to running all `d` hops. A level's very first round rewrites `y_λ ← P_λ x`
 //! wholesale and sweeps all-dirty. Every later round takes one of two
 //! schedules, chosen by `LevelCarry::start` from what the level's
 //! previous round observed; both are **bit-identical** to the all-dirty
@@ -128,84 +133,91 @@ pub struct OracleRun<M> {
     pub h_iterations: usize,
     /// Whether a fixpoint on `H` was reached (`h > SPD(H)`).
     pub fixpoint: bool,
-    /// Alias of [`fixpoint`](OracleRun::fixpoint) under the run-report
-    /// vocabulary: `true` iff the simulation converged within its
-    /// iteration budget.
-    pub converged: bool,
-    /// Total inner `G'`-hops executed across all levels and simulated
-    /// iterations (`work.iterations`).
-    pub hops: u64,
-    /// Work spent, including all inner `G'`-iterations.
+    /// Work spent, including all inner `G'`-iterations
+    /// (`work.iterations` counts them across all levels).
     pub work: WorkStats,
 }
 
-/// One level's buffer `y_λ` and the engine that hops it: all that
-/// differs between the owned, arena and dense oracles. [`oracle_loop`]
-/// is the rest.
-pub(crate) trait Lane<A: MbfAlgorithm>: Send + Sync + Sized {
-    /// The aggregate `x`, as the backend stores it, converting from and
-    /// to the plain states.
-    type X: From<Vec<A::M>> + Into<Vec<A::M>> + Sync;
-    /// A changed `x[v]`, staged by the fold until the round commits.
-    type Staged: Send;
+/// The sealed lane trait: `pub`, so the lane types can stand in the
+/// public oracle entry points' bounds, in a private module, so no other
+/// crate can name or implement it.
+mod sealed {
+    use super::*;
 
-    /// A lane of `n` slots, all `⊥`.
-    fn new(strategy: EngineStrategy, n: usize) -> Self;
-    /// Rewrites slot `v` to `P_λ x[v]` — `x[v]` if `keep`, else `⊥` —
-    /// and returns whether it differed.
-    fn project(&mut self, alg: &A, x: &Self::X, v: NodeId, keep: bool) -> bool;
-    /// Sets slot `v` to `r(y_λ[v] ⊕ x[v])` and returns whether it
-    /// changed.
-    fn absorb(&mut self, alg: &A, x: &Self::X, v: NodeId) -> bool;
-    /// Corrupts one slot (the `oracle_level_loop` `poison_nan` fault).
-    fn poison(&mut self, alg: &A);
-    /// Seeds the engine with every vertex (`None`) or exactly `seeds`.
-    fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>);
-    /// One filtered hop `y ← r^V A_λ y`, edge weights times `scale`: the
-    /// work spent and whether any slot changed.
-    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
-    /// Appends the slots the hops changed since the last drain.
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
-    /// Storage counters, charging the start-state rewrite and the pool
-    /// peak; only the arena lane keeps any.
-    fn store_stats(&self) -> StoreStats {
-        StoreStats::default()
+    /// One level's buffer `y_λ` and the engine that hops it: all that
+    /// differs between the owned, arena and dense oracles.
+    /// [`oracle_loop`] is the rest.
+    pub trait Lane<A: MbfAlgorithm>: Send + Sync + Sized {
+        /// The aggregate `x`, as the backend stores it, converting from
+        /// and to the plain states (a clone is one checkpoint capture).
+        type X: From<Vec<A::M>> + Into<Vec<A::M>> + Clone + Sync;
+        /// A changed `x[v]`, staged by the fold until the round commits.
+        type Staged: Send;
+
+        /// A lane of `n` slots, all `⊥`. Panics if `alg` cannot run on
+        /// this lane (a dense lane of an algorithm without dense states).
+        fn new(alg: &A, strategy: EngineStrategy, n: usize) -> Self;
+        /// Rewrites slot `v` to `P_λ x[v]` — `x[v]` if `keep`, else `⊥` —
+        /// and returns whether it differed.
+        fn project(&mut self, alg: &A, x: &Self::X, v: NodeId, keep: bool) -> bool;
+        /// Sets slot `v` to `r(y_λ[v] ⊕ x[v])` and returns whether it
+        /// changed.
+        fn absorb(&mut self, alg: &A, x: &Self::X, v: NodeId) -> bool;
+        /// Corrupts one slot (the `oracle_level_loop` `poison_nan` fault).
+        fn poison(&mut self, alg: &A);
+        /// Seeds the engine with every vertex (`None`) or exactly `seeds`.
+        fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>);
+        /// One filtered hop `y ← r^V A_λ y`, edge weights times `scale`:
+        /// the work spent and whether any slot changed.
+        fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
+        /// Appends the slots the hops changed since the last drain.
+        fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
+        /// Storage counters, charging the start-state rewrite and the
+        /// pool peak; only the arena lane keeps any.
+        fn store_stats(&self) -> StoreStats {
+            StoreStats::default()
+        }
+        /// The aggregation's per-vertex fold for one round:
+        /// `fold(lanes, v)` folds `y_λ[v]` over `lanes` (the levels
+        /// `λ ≤ level(v)`, ascending), applies `r`, and stages the result
+        /// iff it differs from `x[v]`. Called in parallel, at most once
+        /// per vertex.
+        fn folder<'a>(
+            alg: &'a A,
+            x: &'a mut Self::X,
+        ) -> impl Fn(&[Level<Self>], NodeId) -> Option<Self::Staged> + Sync + 'a;
+        /// Writes the staged values into `x`.
+        fn commit(x: &mut Self::X, staged: Vec<(NodeId, Self::Staged)>);
     }
-    /// The aggregation's per-vertex fold for one round: `fold(lanes, v)`
-    /// folds `y_λ[v]` over `lanes` (the levels `λ ≤ level(v)`, ascending),
-    /// applies `r`, and stages the result iff it differs from `x[v]`.
-    /// Called in parallel, at most once per vertex.
-    fn folder<'a>(
-        alg: &'a A,
-        x: &'a mut Self::X,
-    ) -> impl Fn(&[Level<Self>], NodeId) -> Option<Self::Staged> + Sync + 'a;
-    /// Writes the staged values into `x`.
-    fn commit(x: &mut Self::X, staged: Vec<(NodeId, Self::Staged)>);
-}
 
-/// A lane and its carry-over bookkeeping.
-pub(crate) struct Level<L> {
-    pub(crate) lane: L,
-    carry: LevelCarry,
+    /// A lane and its carry-over bookkeeping.
+    pub struct Level<L> {
+        pub(crate) lane: L,
+        pub(super) carry: LevelCarry,
+    }
 }
+pub(crate) use sealed::{Lane, Level};
 
 /// `Λ + 1` fresh levels for `sim`, each sized once for the run. They are
 /// unprimed, so every level's first round is the wholesale rewrite.
 pub(crate) fn fresh_levels<A: MbfAlgorithm, L: Lane<A>>(
+    alg: &A,
     sim: &SimulatedGraph,
     strategy: EngineStrategy,
 ) -> Vec<Level<L>> {
     let n = sim.augmented().n();
     (0..=sim.levels().lambda())
         .map(|_| Level {
-            lane: L::new(strategy, n),
+            lane: L::new(alg, strategy, n),
             carry: LevelCarry::new(),
         })
         .collect()
 }
 
-/// The owned lane: `y_λ` as a `Vec<M>`, stepped by an [`MbfEngine`].
-pub(crate) struct LevelScratch<A: MbfAlgorithm> {
+/// The owned oracle lane: `y_λ` as a `Vec<M>`, stepped by an
+/// [`MbfEngine`]. The semantics reference, and the lane of
+/// [`oracle_run_to_fixpoint`] and [`oracle_iteration`].
+pub struct LevelScratch<A: MbfAlgorithm> {
     engine: MbfEngine<A>,
     y: Vec<A::M>,
     /// Scratch: the closure carry-over's `r(y_λ[v] ⊕ x[v])`.
@@ -217,7 +229,7 @@ impl<A: MbfAlgorithm> Lane<A> for LevelScratch<A> {
     type X = Vec<A::M>;
     type Staged = A::M;
 
-    fn new(strategy: EngineStrategy, n: usize) -> Self {
+    fn new(_: &A, strategy: EngineStrategy, n: usize) -> Self {
         let mut engine = MbfEngine::new(strategy);
         engine.enable_change_log();
         LevelScratch {
@@ -615,15 +627,13 @@ where
         states: x.into(),
         h_iterations: executed,
         fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
         work,
     })
 }
 
-/// [`oracle_loop`] on fresh `L` lanes with no round hook: the body of the
-/// `*_with_schedule` entry points and [`oracle_iteration`].
-pub(crate) fn run_lanes<A, L>(
+/// [`oracle_loop`] on fresh `L` lanes with no round hook: the body of
+/// [`oracle_run_with_schedule`] and [`oracle_iteration`].
+fn run_lanes<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
@@ -635,7 +645,7 @@ where
     A: MbfAlgorithm<S = MinPlus>,
     L: Lane<A>,
 {
-    let levels = &mut fresh_levels::<A, L>(sim, strategy);
+    let levels = &mut fresh_levels::<A, L>(alg, sim, strategy);
     match oracle_loop(alg, sim, h, carry_over, levels, states, 0, |_, _| Ok(())) {
         Ok(run) => run,
         Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
@@ -660,8 +670,8 @@ where
 /// the changed vertices; `false` restarts every level all-dirty each
 /// round — the reference schedule, kept for ablation and differential
 /// testing. Both produce bit-identical states, iteration counts, and
-/// fixpoint flags; only the work counters differ.
-pub fn oracle_run_with_schedule<A>(
+/// fixpoint flags on every lane `L`; only the work counters differ.
+pub fn oracle_run_with_schedule<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
@@ -670,14 +680,15 @@ pub fn oracle_run_with_schedule<A>(
 ) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
     let states = initial_states(alg, sim.augmented().n());
-    run_lanes::<A, LevelScratch<A>>(alg, sim, h, strategy, carry_over, states)
+    run_lanes::<A, L>(alg, sim, h, strategy, carry_over, states)
 }
 
 /// Iterates `alg` on `H` until a fixpoint, capped at `cap` iterations,
-/// with the given inner-engine strategy, starting from `r^V x⁽⁰⁾`
-/// (Theorem 5.2 (1)). W.h.p. the fixpoint arrives after
+/// on the lane `L` with the given inner-engine strategy, starting from
+/// `r^V x⁽⁰⁾` (Theorem 5.2 (1)). W.h.p. the fixpoint arrives after
 /// `SPD(H) ∈ O(log² n)` iterations (Theorems 4.5 and 5.2 (2)).
 ///
 /// The iteration map is deterministic, so a simulated `H`-iteration that
@@ -686,7 +697,7 @@ where
 /// iterations actually executed (including the confirming one) — it may
 /// be less than `cap`. The returned states are bit-identical to burning
 /// all `cap` iterations, so the capped run *is* `A^cap(H)`.
-pub fn oracle_run_to_fixpoint_with<A>(
+pub fn oracle_run_to_fixpoint_with<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
     cap: usize,
@@ -694,36 +705,19 @@ pub fn oracle_run_to_fixpoint_with<A>(
 ) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
-    A::M: PartialEq,
+    L: Lane<A>,
 {
-    oracle_run_with_schedule(alg, sim, cap, strategy, true)
+    oracle_run_with_schedule::<A, L>(alg, sim, cap, strategy, true)
 }
 
-/// Iterates `alg` on `H` to a fixpoint under the default hybrid engine.
+/// Iterates `alg` on `H` to a fixpoint on the owned lane under the
+/// default hybrid engine.
 pub fn oracle_run_to_fixpoint<A>(alg: &A, sim: &SimulatedGraph, cap: usize) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
-    A::M: PartialEq,
 {
-    oracle_run_to_fixpoint_with(alg, sim, cap, EngineStrategy::default())
-}
-
-/// Guarded [`oracle_run_to_fixpoint_with`]: panics become typed errors,
-/// injected faults are audited, final states are sanity-scanned. An
-/// exhausted iteration budget is reported as `converged: false`, not an
-/// error.
-pub fn try_oracle_run_to_fixpoint_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> Result<(OracleRun<A::M>, crate::error::RunReport), crate::error::RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    A::M: PartialEq,
-{
-    let policy = crate::checkpoint::CheckpointPolicy::disabled();
-    crate::checkpoint::try_oracle_run_checkpointed_with(alg, sim, cap, strategy, policy, |_| Ok(()))
+    let strategy = EngineStrategy::default();
+    oracle_run_to_fixpoint_with::<A, LevelScratch<A>>(alg, sim, cap, strategy)
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with
@@ -757,9 +751,6 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
         let via_oracle = oracle_run_to_fixpoint(&alg, &sim, 4 * g.n());
         assert!(via_oracle.fixpoint);
-        // The run metadata mirrors the flags it summarizes.
-        assert!(via_oracle.converged);
-        assert_eq!(via_oracle.hops, via_oracle.work.iterations);
         let via_h = run_to_fixpoint(&alg, &h_explicit, 4 * g.n());
         assert!(via_h.fixpoint);
 
@@ -813,10 +804,9 @@ mod tests {
             "took {} iterations",
             run.h_iterations
         );
-        assert!(run.converged);
         // Each H-iteration drives Λ+1 inner level loops, so the total
         // G'-hop count dominates the H-iteration count.
-        assert!(run.hops >= run.h_iterations as u64);
+        assert!(run.work.iterations >= run.h_iterations as u64);
     }
 
     #[test]
@@ -839,12 +829,10 @@ mod tests {
         let fix = oracle_run_to_fixpoint(&alg, &sim, budget);
         assert_eq!(run.states, fix.states);
         assert_eq!(run.h_iterations, fix.h_iterations);
-        assert!(run.converged);
-        assert_eq!(run.hops, fix.hops);
+        assert_eq!(run.work.iterations, fix.work.iterations);
         // A budget too small to converge reports honestly.
         let short = oracle_run_to_fixpoint(&alg, &sim, 1);
         assert!(!short.fixpoint);
-        assert!(!short.converged);
         assert_eq!(short.h_iterations, 1);
     }
 
@@ -864,7 +852,7 @@ mod tests {
         // wholesale rewrite. A closing round sets the flag.
         let (g, sim) = closing_fixture();
         let alg = SourceDetection::k_ssp(g.n(), 3);
-        let mut levels = fresh_levels::<_, LevelScratch<_>>(&sim, EngineStrategy::Frontier);
+        let mut levels = fresh_levels::<_, LevelScratch<_>>(&alg, &sim, EngineStrategy::Frontier);
         assert!(levels.iter().all(|l| !l.carry.closed && !l.carry.primed));
         let x = initial_states(&alg, g.n());
         oracle_loop(&alg, &sim, 1, true, &mut levels, x, 0, |_, _| Ok(())).unwrap();
@@ -899,15 +887,15 @@ mod tests {
         };
         match kind {
             Kind::Owned => {
-                let levels = &mut fresh_levels::<_, LevelScratch<_>>(sim, s);
+                let levels = &mut fresh_levels::<_, LevelScratch<_>>(alg, sim, s);
                 oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
             }
             Kind::Arena => {
-                let levels = &mut fresh_levels::<SourceDetection, ArenaLevel>(sim, s);
+                let levels = &mut fresh_levels::<_, ArenaLevel>(alg, sim, s);
                 oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
             }
             Kind::Dense => {
-                let levels = &mut fresh_levels::<_, DenseLevel<_>>(sim, s);
+                let levels = &mut fresh_levels::<_, DenseLevel<_>>(alg, sim, s);
                 oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
             }
         }
@@ -918,8 +906,10 @@ mod tests {
     fn lane_contract_holds_on_every_backend() {
         let (g, sim) = closing_fixture();
         let alg = SourceDetection::apsp(g.n());
-        let reference =
-            |h| oracle_run_with_schedule(&alg, &sim, h, EngineStrategy::Frontier, false);
+        let reference = |h| {
+            let s = EngineStrategy::Frontier;
+            oracle_run_with_schedule::<_, LevelScratch<_>>(&alg, &sim, h, s, false)
+        };
         let full = reference(4 * g.n());
         let r = full.h_iterations;
         assert!(full.fixpoint && r >= 3, "{r} rounds");
@@ -992,14 +982,14 @@ mod tests {
         let spd = shortest_path_diameter(&g) as usize;
         let sim = SimulatedGraph::without_hopset(&g, spd.max(1), 0.15, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        let dense = oracle_run_to_fixpoint_with(&alg, &sim, 4 * g.n(), EngineStrategy::Dense);
-        let frontier = oracle_run_to_fixpoint_with(&alg, &sim, 4 * g.n(), EngineStrategy::Frontier);
+        let run = |s| oracle_run_to_fixpoint_with::<_, LevelScratch<_>>(&alg, &sim, 4 * g.n(), s);
+        let (dense, frontier) = (run(EngineStrategy::Dense), run(EngineStrategy::Frontier));
         assert_eq!(dense.states, frontier.states);
         assert_eq!(dense.h_iterations, frontier.h_iterations);
         assert!(frontier.work.edge_relaxations <= dense.work.edge_relaxations);
         // Convergence metadata is strategy-invariant (hop counts are
         // not: the frontier engine confirms levels with fewer hops).
-        assert_eq!(dense.converged, frontier.converged);
-        assert!(dense.converged);
+        assert_eq!(dense.fixpoint, frontier.fixpoint);
+        assert!(dense.fixpoint);
     }
 }

@@ -827,17 +827,6 @@ impl ShardSupervisor {
             Some(self.policy),
         )
     }
-
-    /// Supervised run over an explicit (pre-cut) spec.
-    pub fn run_spec_to_fixpoint_with<A: MbfAlgorithm>(
-        &self,
-        alg: &A,
-        g: &Graph,
-        cap: usize,
-        spec: ShardSpec,
-    ) -> Result<(ShardedRun<A::M>, RunReport), RunError> {
-        drive(alg, g, cap, spec, Some(self.policy))
-    }
 }
 
 /// The shared hop driver. `policy: None` is the fail-fast path.

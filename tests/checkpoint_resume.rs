@@ -7,20 +7,21 @@
 //! snapshot store. The recovery-ladder variants of these assertions
 //! (resume after an injected fault) live in `tests/fault_harness.rs`.
 
-use metric_tree_embedding::core::arena::run_to_fixpoint_arena_with;
+use metric_tree_embedding::core::arena::{
+    run_to_fixpoint_arena_with, ArenaLevel, ArenaMbfAlgorithm,
+};
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::checkpoint::{
-    try_oracle_run_checkpointed_with, try_resume_oracle_run_with,
-    try_resume_run_to_fixpoint_arena_with, try_resume_run_to_fixpoint_dense_with,
-    try_resume_run_to_fixpoint_switching_with, try_resume_run_to_fixpoint_with,
-    try_run_checkpointed_arena_with, try_run_checkpointed_dense_with,
-    try_run_checkpointed_switching_with, try_run_checkpointed_with, Checkpoint, CheckpointPolicy,
+    try_oracle_run_checkpointed_with, try_run_checkpointed_arena_with,
+    try_run_checkpointed_dense_with, try_run_checkpointed_switching_with,
+    try_run_checkpointed_with, Checkpoint, CheckpointPolicy,
 };
-use metric_tree_embedding::core::dense::SwitchThresholds;
+use metric_tree_embedding::core::dense::{DenseLevel, SwitchThresholds};
 use metric_tree_embedding::core::engine::{run_to_fixpoint_with, EngineStrategy};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::oracle_run_to_fixpoint_with;
+use metric_tree_embedding::core::oracle::{oracle_run_to_fixpoint_with, LevelScratch, OracleRun};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
+use metric_tree_embedding::core::{RunError, RunReport};
 use metric_tree_embedding::graph::algorithms::shortest_path_diameter;
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use metric_tree_embedding::prelude::*;
@@ -45,6 +46,13 @@ fn fixture_graph() -> Graph {
     let mut rng = StdRng::seed_from_u64(0xC4E0);
     gnm_graph(70, 170, 1.0..9.0, &mut rng)
 }
+
+/// A sink that records nothing.
+fn discard<M>(_: &Checkpoint<M>) -> Result<(), RunError> {
+    Ok(())
+}
+
+const OFF: CheckpointPolicy = CheckpointPolicy { every_n: 0 };
 
 /// Collects a checkpoint after every hop of a checkpointed run via the
 /// given driver, panicking if the run itself fails.
@@ -75,7 +83,8 @@ fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
                     g,
                     cap,
                     strategy,
-                    CheckpointPolicy::every_hops(1),
+                    None,
+                    CheckpointPolicy::every(1),
                     |c| {
                         sink.lock().unwrap().push(c.clone());
                         Ok(())
@@ -86,8 +95,9 @@ fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
             assert_eq!(run.states, reference.states);
             assert!(!checkpoints.is_empty(), "run too short to checkpoint");
             for ckpt in &checkpoints {
+                let from = Some(ckpt);
                 let (resumed, report) =
-                    try_resume_run_to_fixpoint_with(alg, g, cap, strategy, ckpt).unwrap();
+                    try_run_checkpointed_with(alg, g, cap, strategy, from, OFF, discard).unwrap();
                 assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
                 assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
                 assert_eq!(resumed.fixpoint, reference.fixpoint, "hop {}", ckpt.hop);
@@ -127,7 +137,8 @@ fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
                         g,
                         cap,
                         strategy,
-                        CheckpointPolicy::every_hops(1),
+                        None,
+                        CheckpointPolicy::every(1),
                         |c| {
                             sink.lock().unwrap().push(c.clone());
                             Ok(())
@@ -137,8 +148,9 @@ fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
                 });
                 assert!(!checkpoints.is_empty());
                 for ckpt in &checkpoints {
+                    let from = Some(ckpt);
                     let (resumed, _) =
-                        try_resume_run_to_fixpoint_arena_with(kssp, g, cap, strategy, ckpt)
+                        try_run_checkpointed_arena_with(kssp, g, cap, strategy, from, OFF, discard)
                             .unwrap();
                     assert_eq!(resumed.states, reference.states, "k-SSP hop {}", ckpt.hop);
                     assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
@@ -153,7 +165,8 @@ fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
                         g,
                         cap,
                         strategy,
-                        CheckpointPolicy::every_hops(2),
+                        None,
+                        CheckpointPolicy::every(2),
                         |c| {
                             sink.lock().unwrap().push(c.clone());
                             Ok(())
@@ -163,9 +176,11 @@ fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
                 });
                 assert!(!checkpoints.is_empty());
                 for ckpt in &checkpoints {
-                    let (resumed, _) =
-                        try_resume_run_to_fixpoint_arena_with(lelist, g, cap, strategy, ckpt)
-                            .unwrap();
+                    let from = Some(ckpt);
+                    let (resumed, _) = try_run_checkpointed_arena_with(
+                        lelist, g, cap, strategy, from, OFF, discard,
+                    )
+                    .unwrap();
                     assert_eq!(resumed.states, reference.states, "LE hop {}", ckpt.hop);
                     assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
                     assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -196,7 +211,8 @@ fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
                     cap,
                     strategy,
                     None,
-                    CheckpointPolicy::every_hops(1),
+                    None,
+                    CheckpointPolicy::every(1),
                     |c| {
                         sink.lock().unwrap().push(c.clone());
                         Ok(())
@@ -206,8 +222,11 @@ fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
             });
             assert!(!checkpoints.is_empty());
             for ckpt in &checkpoints {
-                let (resumed, _) =
-                    try_resume_run_to_fixpoint_dense_with(alg, g, cap, strategy, ckpt).unwrap();
+                let from = Some(ckpt);
+                let (resumed, _) = try_run_checkpointed_dense_with(
+                    alg, g, cap, strategy, None, from, OFF, discard,
+                )
+                .unwrap();
                 assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
                 assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
                 assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -241,7 +260,8 @@ fn switching_every_checkpoint_resumes_bit_identically_across_threads() {
                     cap,
                     strategy,
                     thresholds,
-                    CheckpointPolicy::every_hops(1),
+                    None,
+                    CheckpointPolicy::every(1),
                     |c| {
                         sink.lock().unwrap().push(c.clone());
                         Ok(())
@@ -251,8 +271,15 @@ fn switching_every_checkpoint_resumes_bit_identically_across_threads() {
             });
             assert!(!checkpoints.is_empty());
             for ckpt in &checkpoints {
-                let (resumed, _) = try_resume_run_to_fixpoint_switching_with(
-                    alg, g, cap, strategy, thresholds, ckpt,
+                let (resumed, _) = try_run_checkpointed_switching_with(
+                    alg,
+                    g,
+                    cap,
+                    strategy,
+                    thresholds,
+                    Some(ckpt),
+                    OFF,
+                    discard,
                 )
                 .unwrap();
                 assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
@@ -264,8 +291,83 @@ fn switching_every_checkpoint_resumes_bit_identically_across_threads() {
 }
 
 // ---------------------------------------------------------------------
-// Oracle.
+// Oracle, on every lane.
 // ---------------------------------------------------------------------
+
+type Sink<'s> = &'s mut dyn FnMut(&Checkpoint<DistanceMap>) -> Result<(), RunError>;
+type OracleDriver<'a> = Box<
+    dyn Fn(
+            Option<&Checkpoint<DistanceMap>>,
+            CheckpointPolicy,
+            Sink,
+        ) -> Result<(OracleRun<DistanceMap>, RunReport), RunError>
+        + Sync
+        + 'a,
+>;
+
+/// The guarded oracle driver on one lane, as a closure of
+/// `(from, policy, sink)`, and the uninterrupted owned-lane run of the
+/// same algorithm it must reproduce.
+struct OracleLane<'a> {
+    name: &'static str,
+    reference: OracleRun<DistanceMap>,
+    run: OracleDriver<'a>,
+}
+
+/// The owned lane and the arena lane (the FRT path's) running `alg`, and
+/// the dense lane (the metric path's) running APSP.
+fn oracle_lanes<'a, A: ArenaMbfAlgorithm>(
+    alg: &'a A,
+    sim: &'a SimulatedGraph,
+    cap: usize,
+    strategy: EngineStrategy,
+) -> Vec<OracleLane<'a>> {
+    let apsp = SourceDetection::apsp(sim.augmented().n());
+    let reference = oracle_run_to_fixpoint_with::<_, LevelScratch<_>>(alg, sim, cap, strategy);
+    let apsp_reference =
+        oracle_run_to_fixpoint_with::<_, LevelScratch<_>>(&apsp, sim, cap, strategy);
+    vec![
+        OracleLane {
+            name: "owned",
+            reference: reference.clone(),
+            run: Box::new(move |from, policy, sink| {
+                try_oracle_run_checkpointed_with::<_, LevelScratch<_>>(
+                    alg, sim, cap, strategy, from, policy, sink,
+                )
+            }),
+        },
+        OracleLane {
+            name: "arena",
+            reference,
+            run: Box::new(move |from, policy, sink| {
+                try_oracle_run_checkpointed_with::<_, ArenaLevel>(
+                    alg, sim, cap, strategy, from, policy, sink,
+                )
+            }),
+        },
+        OracleLane {
+            name: "dense",
+            reference: apsp_reference,
+            run: Box::new(move |from, policy, sink| {
+                try_oracle_run_checkpointed_with::<_, DenseLevel<_>>(
+                    &apsp, sim, cap, strategy, from, policy, sink,
+                )
+            }),
+        },
+    ]
+}
+
+/// A checkpoint after every round of `lane`'s fresh run.
+fn every_round(lane: &OracleLane) -> Vec<Checkpoint<DistanceMap>> {
+    let (_, checkpoints) = capture_all(|sink| {
+        let mut push = |c: &Checkpoint<DistanceMap>| {
+            sink.lock().unwrap().push(c.clone());
+            Ok(())
+        };
+        (lane.run)(None, CheckpointPolicy::every(1), &mut push).unwrap()
+    });
+    checkpoints
+}
 
 #[test]
 fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
@@ -274,42 +376,26 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
     let sim = SimulatedGraph::without_hopset(&g, 16, 0.15, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = 4 * g.n();
-    let strategy = EngineStrategy::default();
-    for threads in THREADS {
-        let (sim, alg) = (&sim, &alg);
-        with_threads(threads, move || {
-            let reference = oracle_run_to_fixpoint_with(alg, sim, cap, strategy);
-            let (_, checkpoints) = capture_all(|sink| {
-                try_oracle_run_checkpointed_with(
-                    alg,
-                    sim,
-                    cap,
-                    strategy,
-                    CheckpointPolicy::every_levels(1),
-                    |c| {
-                        sink.lock().unwrap().push(c.clone());
-                        Ok(())
-                    },
-                )
-                .unwrap()
-            });
-            assert!(
-                !checkpoints.is_empty(),
-                "oracle run too short to checkpoint"
-            );
-            for ckpt in &checkpoints {
-                let (resumed, report) =
-                    try_resume_oracle_run_with(alg, sim, cap, strategy, ckpt).unwrap();
-                assert_eq!(resumed.states, reference.states, "round {}", ckpt.hop);
-                assert_eq!(
-                    resumed.h_iterations, reference.h_iterations,
-                    "round {}",
-                    ckpt.hop
+    for lane in &oracle_lanes(&alg, &sim, cap, EngineStrategy::default()) {
+        for threads in THREADS {
+            with_threads(threads, move || {
+                let checkpoints = every_round(lane);
+                assert!(
+                    !checkpoints.is_empty(),
+                    "{} lane: oracle run too short to checkpoint",
+                    lane.name
                 );
-                assert_eq!(resumed.fixpoint, reference.fixpoint);
-                assert_eq!(report.converged, reference.converged);
-            }
-        });
+                for ckpt in &checkpoints {
+                    let (resumed, report) = (lane.run)(Some(ckpt), OFF, &mut discard).unwrap();
+                    let at = format!("{} lane, {threads} threads, round {}", lane.name, ckpt.hop);
+                    let reference = &lane.reference;
+                    assert_eq!(resumed.states, reference.states, "{at}");
+                    assert_eq!(resumed.h_iterations, reference.h_iterations, "{at}");
+                    assert_eq!(resumed.fixpoint, reference.fixpoint, "{at}");
+                    assert_eq!(report.converged, reference.fixpoint, "{at}");
+                }
+            });
+        }
     }
 }
 
@@ -319,7 +405,7 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
 /// levels have closed starts on fresh level scratch — unclosed and
 /// unprimed — and its first round is the wholesale rewrite: every
 /// level's first hop sweeps all `n` vertices. The resumed run must
-/// still be bit-identical to the uninterrupted one.
+/// still be bit-identical to the uninterrupted one, on every lane.
 #[test]
 fn oracle_resumes_bit_identically_after_levels_closed() {
     let mut rng = StdRng::seed_from_u64(0xC4E5);
@@ -329,44 +415,34 @@ fn oracle_resumes_bit_identically_after_levels_closed() {
     let sim = SimulatedGraph::without_hopset(&g, d, 0.15, &mut rng);
     let alg = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
     let cap = 4 * g.n();
-    let strategy = EngineStrategy::Frontier;
     let sweep = (u64::from(sim.levels().lambda()) + 1) * g.n() as u64;
-    for threads in THREADS {
-        let (sim, alg) = (&sim, &alg);
-        with_threads(threads, move || {
-            let reference = oracle_run_to_fixpoint_with(alg, sim, cap, strategy);
-            let (_, checkpoints) = capture_all(|sink| {
-                try_oracle_run_checkpointed_with(
-                    alg,
-                    sim,
-                    cap,
-                    strategy,
-                    CheckpointPolicy::every_levels(1),
-                    |c| {
-                        sink.lock().unwrap().push(c.clone());
-                        Ok(())
-                    },
-                )
-                .unwrap()
-            });
-            // Round 1 primes (and closes) the levels; from round 2 on
-            // they carry closures.
-            let late: Vec<_> = checkpoints.iter().filter(|c| c.hop >= 2).collect();
-            assert!(!late.is_empty(), "no checkpoint after the levels closed");
-            for ckpt in late {
-                let (resumed, report) =
-                    try_resume_oracle_run_with(alg, sim, cap, strategy, ckpt).unwrap();
-                let at = format!("{threads} threads, round {}", ckpt.hop);
-                assert_eq!(resumed.states, reference.states, "{at}");
-                assert_eq!(resumed.h_iterations, reference.h_iterations, "{at}");
-                assert_eq!(resumed.fixpoint, reference.fixpoint, "{at}");
-                assert_eq!(report.converged, reference.converged, "{at}");
+    for lane in &oracle_lanes(&alg, &sim, cap, EngineStrategy::Frontier) {
+        for threads in THREADS {
+            with_threads(threads, move || {
+                // Round 1 primes (and closes) the levels; from round 2 on
+                // they carry closures.
+                let checkpoints = every_round(lane);
+                let late: Vec<_> = checkpoints.iter().filter(|c| c.hop >= 2).collect();
                 assert!(
-                    resumed.work.touched_vertices >= sweep,
-                    "{at}: first resumed round was not a wholesale rewrite"
+                    !late.is_empty(),
+                    "{} lane: no checkpoint after the levels closed",
+                    lane.name
                 );
-            }
-        });
+                for ckpt in late {
+                    let (resumed, report) = (lane.run)(Some(ckpt), OFF, &mut discard).unwrap();
+                    let at = format!("{} lane, {threads} threads, round {}", lane.name, ckpt.hop);
+                    let reference = &lane.reference;
+                    assert_eq!(resumed.states, reference.states, "{at}");
+                    assert_eq!(resumed.h_iterations, reference.h_iterations, "{at}");
+                    assert_eq!(resumed.fixpoint, reference.fixpoint, "{at}");
+                    assert_eq!(report.converged, reference.fixpoint, "{at}");
+                    assert!(
+                        resumed.work.touched_vertices >= sweep,
+                        "{at}: first resumed round was not a wholesale rewrite"
+                    );
+                }
+            });
+        }
     }
 }
 
@@ -388,7 +464,8 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
             &g,
             cap,
             strategy,
-            CheckpointPolicy::every_hops(1),
+            None,
+            CheckpointPolicy::every(1),
             |c| {
                 sink.lock().unwrap().push(c.clone());
                 Ok(())
@@ -404,8 +481,9 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
             .checkpoint()
             .expect("checkpoint section decodes");
         assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
+        let from = Some(&decoded);
         let (resumed, _) =
-            try_resume_run_to_fixpoint_with(&alg, &g, cap, strategy, &decoded).unwrap();
+            try_run_checkpointed_with(&alg, &g, cap, strategy, from, OFF, discard).unwrap();
         assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
         assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
         assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -434,17 +512,18 @@ fn resume_from_disk_after_simulated_crash() {
         &g,
         cap,
         strategy,
-        CheckpointPolicy::every_hops(1),
+        None,
+        CheckpointPolicy::every(1),
         |c| {
             SnapshotWriter::new()
                 .put_checkpoint(c)
                 .write_to(&path)
-                .map_err(|e| metric_tree_embedding::core::RunError::SnapshotCorrupt {
+                .map_err(|e| RunError::SnapshotCorrupt {
                     detail: e.to_string(),
                 })?;
             captures += 1;
             if captures == 2 {
-                return Err(metric_tree_embedding::core::RunError::Panicked {
+                return Err(RunError::Panicked {
                     message: "simulated crash".to_string(),
                 });
             }
@@ -459,7 +538,8 @@ fn resume_from_disk_after_simulated_crash() {
         .checkpoint()
         .expect("checkpoint section intact");
     assert_eq!(ckpt.hop, 2);
-    let (resumed, _) = try_resume_run_to_fixpoint_with(&alg, &g, cap, strategy, &ckpt).unwrap();
+    let (resumed, _) =
+        try_run_checkpointed_with(&alg, &g, cap, strategy, Some(&ckpt), OFF, discard).unwrap();
     assert_eq!(resumed.states, reference.states);
     assert_eq!(resumed.iterations, reference.iterations);
     assert_eq!(resumed.fixpoint, reference.fixpoint);

@@ -11,18 +11,17 @@
 //! releasing it. Expected injected panics are silenced with a no-op
 //! panic hook for the duration of the sweep.
 
-use metric_tree_embedding::core::arena::{
-    oracle_run_arena_to_fixpoint_with, try_run_to_fixpoint_arena_with,
-};
+use metric_tree_embedding::core::arena::ArenaLevel;
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::dense::{
-    oracle_run_dense_to_fixpoint_with, try_run_to_fixpoint_dense_with,
-    try_run_to_fixpoint_switching_with, SwitchThresholds,
+use metric_tree_embedding::core::checkpoint::{
+    try_oracle_run_checkpointed_with, try_run_checkpointed_arena_with,
+    try_run_checkpointed_dense_with, try_run_checkpointed_switching_with,
+    try_run_checkpointed_with, Checkpoint, CheckpointPolicy,
 };
-use metric_tree_embedding::core::engine::{try_run_to_fixpoint_with, EngineStrategy};
-use metric_tree_embedding::core::error::{check_states, run_guarded};
+use metric_tree_embedding::core::dense::{DenseLevel, SwitchThresholds};
+use metric_tree_embedding::core::engine::{EngineStrategy, MbfRun};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::{try_oracle_run_to_fixpoint_with, OracleRun};
+use metric_tree_embedding::core::oracle::{LevelScratch, OracleRun};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
@@ -63,6 +62,24 @@ impl Drop for FaultGuard {
             let _ = std::panic::take_hook();
         }
     }
+}
+
+/// Capture disabled: the drivers' fail-fast run.
+const OFF: CheckpointPolicy = CheckpointPolicy { every_n: 0 };
+
+/// A sink that records nothing.
+fn discard<M>(_: &Checkpoint<M>) -> Result<(), RunError> {
+    Ok(())
+}
+
+/// The guarded owned-backend run, fresh, under the default strategy,
+/// capturing nothing.
+fn try_owned(
+    alg: &SourceDetection,
+    g: &Graph,
+    cap: usize,
+) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
+    try_run_checkpointed_with(alg, g, cap, EngineStrategy::default(), None, OFF, discard)
 }
 
 /// Runs `f` on a dedicated pool of the given total parallelism.
@@ -153,23 +170,22 @@ impl Pipeline {
         match self {
             Pipeline::Owned => {
                 let alg = SourceDetection::k_ssp(g.n(), 4);
-                try_run_to_fixpoint_with(&alg, g, cap, strategy)
-                    .map(|(run, report)| (run.states, report))
+                try_owned(&alg, g, cap).map(|(run, report)| (run.states, report))
             }
             Pipeline::Arena => {
-                let alg = metric_tree_embedding::core::catalog::SourceDetection::k_ssp(g.n(), 4);
-                try_run_to_fixpoint_arena_with(&alg, g, cap, strategy)
+                let alg = SourceDetection::k_ssp(g.n(), 4);
+                try_run_checkpointed_arena_with(&alg, g, cap, strategy, None, OFF, discard)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::ArenaLe => {
                 let ranks = Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xFA03));
                 let alg = LeListAlgorithm::new(Arc::new(ranks));
-                try_run_to_fixpoint_arena_with(&alg, g, cap, strategy)
+                try_run_checkpointed_arena_with(&alg, g, cap, strategy, None, OFF, discard)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Dense => {
                 let alg = SourceDetection::apsp(g.n());
-                try_run_to_fixpoint_dense_with(&alg, g, cap, strategy, None)
+                try_run_checkpointed_dense_with(&alg, g, cap, strategy, None, None, OFF, discard)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Switching => {
@@ -180,51 +196,69 @@ impl Pipeline {
                     revert: 0.01,
                     budget_bytes: None,
                 };
-                try_run_to_fixpoint_switching_with(&alg, g, cap, strategy, thresholds)
-                    .map(|(run, report)| (run.states, report))
+                try_switching(&alg, g, thresholds).map(|(run, report)| (run.states, report))
             }
-            Pipeline::Oracle => {
-                let alg = SourceDetection::apsp(g.n());
-                try_oracle_run_to_fixpoint_with(&alg, sim, 4 * g.n(), strategy)
-                    .map(|(run, report)| (run.states, report))
-            }
-            Pipeline::ArenaOracle | Pipeline::DenseOracle => self.oracle(g, sim).map(|run| {
-                let report = RunReport {
-                    converged: run.converged,
-                    hops: run.hops,
-                    degradations: Vec::new(),
-                };
-                (run.states, report)
-            }),
+            Pipeline::Oracle | Pipeline::ArenaOracle | Pipeline::DenseOracle => self
+                .oracle(g, sim)
+                .map(|(run, report)| (run.states, report)),
         }
     }
 
-    /// Runs one of the three `H`-oracle pipelines guarded, returning the
-    /// whole run. The arena and dense oracles have no guarded entry
-    /// point, so they run under the public `run_guarded` and
-    /// `check_states`.
-    fn oracle(self, g: &Graph, sim: &SimulatedGraph) -> Result<OracleRun<DistanceMap>, RunError> {
-        let (n, strategy) = (sim.augmented().n(), EngineStrategy::default());
-        let run = match self {
+    /// Runs one of the three `H`-oracle pipelines through the guarded
+    /// oracle driver on its lane, returning the whole run.
+    fn oracle(
+        self,
+        g: &Graph,
+        sim: &SimulatedGraph,
+    ) -> Result<(OracleRun<DistanceMap>, RunReport), RunError> {
+        let (n, s) = (sim.augmented().n(), EngineStrategy::default());
+        match self {
             Pipeline::Oracle => {
                 let alg = SourceDetection::apsp(g.n());
-                let (run, _) = try_oracle_run_to_fixpoint_with(&alg, sim, 4 * g.n(), strategy)?;
-                return Ok(run);
+                let cap = 4 * g.n();
+                try_oracle_run_checkpointed_with::<_, LevelScratch<_>>(
+                    &alg, sim, cap, s, None, OFF, discard,
+                )
             }
             Pipeline::ArenaOracle => {
                 let ranks = Ranks::sample(n, &mut StdRng::seed_from_u64(0xFA04));
                 let alg = LeListAlgorithm::new(Arc::new(ranks));
-                run_guarded(|| oracle_run_arena_to_fixpoint_with(&alg, sim, 4 * n, strategy))?
+                try_oracle_run_checkpointed_with::<_, ArenaLevel>(
+                    &alg,
+                    sim,
+                    4 * n,
+                    s,
+                    None,
+                    OFF,
+                    discard,
+                )
             }
             Pipeline::DenseOracle => {
                 let alg = SourceDetection::apsp(n);
-                run_guarded(|| oracle_run_dense_to_fixpoint_with(&alg, sim, 4 * n, strategy))?
+                try_oracle_run_checkpointed_with::<_, DenseLevel<_>>(
+                    &alg,
+                    sim,
+                    4 * n,
+                    s,
+                    None,
+                    OFF,
+                    discard,
+                )
             }
             other => panic!("{other:?} is not an oracle pipeline"),
-        };
-        check_states::<MinPlus, _>(&run.states)?;
-        Ok(run)
+        }
     }
+}
+
+/// The guarded switching-backend run, fresh, under the default strategy,
+/// capturing nothing.
+fn try_switching(
+    alg: &SourceDetection,
+    g: &Graph,
+    thresholds: SwitchThresholds,
+) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
+    let (cap, s) = (g.n() + 1, EngineStrategy::default());
+    try_run_checkpointed_switching_with(alg, g, cap, s, thresholds, None, OFF, discard)
 }
 
 /// The pipelines that run the `H`-oracle loop.
@@ -350,7 +384,7 @@ fn late_round_oracle_level_faults_error_typed_after_levels_close() {
     // One `oracle_level_loop` arrival per level task per round.
     let per_round = u64::from(sim.levels().lambda()) + 1;
     for pipeline in ORACLE_PIPELINES {
-        let clean = pipeline.oracle(&og, &sim).expect("clean oracle run");
+        let (clean, _) = pipeline.oracle(&og, &sim).expect("clean oracle run");
         assert!(
             clean.h_iterations >= 3,
             "{pipeline:?}: only {} rounds: nothing is carried",
@@ -376,13 +410,44 @@ fn late_round_oracle_level_faults_error_typed_after_levels_close() {
                             Err(RunError::Panicked { .. }) | Err(RunError::CorruptState { .. }) => {
                             }
                             Err(other) => panic!("{at}: unexpected error class {other:?}"),
-                            Ok(run) => panic!(
+                            Ok((run, _)) => panic!(
                                 "{at}: fired fault ended in Ok (states equal clean run: {})",
                                 run.states == clean.states
                             ),
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The pre-armed entry point for the oracle lanes: when
+/// `MTE_FAULT_PLAN` is set, its plan is installed explicitly (the guard
+/// clears whatever the environment armed before any run reads it), and
+/// every oracle lane either errors typed or matches its clean run bit
+/// for bit. Without the variable there is nothing to check.
+#[test]
+fn oracle_lanes_under_the_pre_armed_env_plan_error_typed_or_match_clean() {
+    let Some(plan) = FaultPlan::from_env() else {
+        return;
+    };
+    let _guard = FaultGuard::acquire();
+    let (og, sim) = oracle_fixture();
+    for pipeline in ORACLE_PIPELINES {
+        let (clean, _) = pipeline.run(&og, &sim).expect("clean oracle run");
+        for threads in [1usize, 4] {
+            faults::install(plan.clone());
+            let (og, sim) = (&og, &sim);
+            let outcome = with_threads(threads, move || pipeline.run(og, sim));
+            faults::clear();
+            let at = format!("{pipeline:?}/t={threads}");
+            match outcome {
+                Err(RunError::InjectedFault { .. })
+                | Err(RunError::Panicked { .. })
+                | Err(RunError::CorruptState { .. }) => {}
+                Err(other) => panic!("{at}: unexpected error class {other:?}"),
+                Ok((states, _)) => assert_eq!(states, clean, "{at}: Ok run diverged"),
             }
         }
     }
@@ -400,7 +465,7 @@ fn injected_panics_carry_their_site_in_the_typed_error() {
         FaultKind::Panic,
         0,
     ));
-    let out = try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default());
+    let out = try_owned(&alg, &g, g.n() + 1);
     faults::clear();
     match out {
         Err(RunError::InjectedFault { site, kind }) => {
@@ -420,19 +485,17 @@ fn worker_pool_survives_a_chunk_panic() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let (g, alg) = (&g, &alg);
     with_threads(4, move || {
-        let clean = try_run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default())
-            .expect("clean run");
+        let clean = try_owned(alg, g, g.n() + 1).expect("clean run");
         faults::install(FaultPlan::single(
             FaultSite::WorkerChunk,
             FaultKind::Panic,
             0,
         ));
-        let faulted = try_run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default());
+        let faulted = try_owned(alg, g, g.n() + 1);
         faults::clear();
         assert!(faulted.is_err(), "chunk panic must surface as an error");
         // Same pool, same workers: the panic did not wedge or kill them.
-        let after = try_run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default())
-            .expect("post-fault run on the surviving pool");
+        let after = try_owned(alg, g, g.n() + 1).expect("post-fault run on the surviving pool");
         assert_eq!(after.0.states, clean.0.states);
         assert_eq!(after.1, clean.1);
     });
@@ -447,8 +510,7 @@ fn dense_budget_exhaustion_degrades_to_sparse_bit_identically() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
-    let reference = try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default())
-        .expect("owned reference");
+    let reference = try_owned(&alg, &g, g.n() + 1).expect("owned reference");
     // Aggressive flip thresholds + an 8-byte budget: the flip is
     // attempted early and must be declined every time.
     let thresholds = SwitchThresholds {
@@ -457,14 +519,8 @@ fn dense_budget_exhaustion_degrades_to_sparse_bit_identically() {
         revert: 0.01,
         budget_bytes: Some(8),
     };
-    let (run, report) = try_run_to_fixpoint_switching_with(
-        &alg,
-        &g,
-        g.n() + 1,
-        EngineStrategy::default(),
-        thresholds,
-    )
-    .expect("budget exhaustion must degrade, not fail");
+    let (run, report) =
+        try_switching(&alg, &g, thresholds).expect("budget exhaustion must degrade, not fail");
     assert_eq!(run.states, reference.0.states, "degraded run diverged");
     assert_eq!(run.iterations, reference.0.iterations);
     assert_eq!(run.fixpoint, reference.0.fixpoint);
@@ -490,8 +546,7 @@ fn injected_alloc_failure_at_the_flip_is_absorbed() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
-    let reference = try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default())
-        .expect("owned reference");
+    let reference = try_owned(&alg, &g, g.n() + 1).expect("owned reference");
     let thresholds = SwitchThresholds {
         row_density: 0.1,
         saturation: 0.1,
@@ -503,13 +558,7 @@ fn injected_alloc_failure_at_the_flip_is_absorbed() {
         FaultKind::AllocFail,
         0,
     ));
-    let out = try_run_to_fixpoint_switching_with(
-        &alg,
-        &g,
-        g.n() + 1,
-        EngineStrategy::default(),
-        thresholds,
-    );
+    let out = try_switching(&alg, &g, thresholds);
     faults::clear();
     let (run, report) = out.expect("a handled alloc failure is a degradation, not an error");
     assert_eq!(run.states, reference.0.states);
@@ -524,8 +573,8 @@ fn dense_only_budget_violation_is_a_typed_error() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
-    let out =
-        try_run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, EngineStrategy::default(), Some(8));
+    let (cap, s) = (g.n() + 1, EngineStrategy::default());
+    let out = try_run_checkpointed_dense_with(&alg, &g, cap, s, Some(8), None, OFF, discard);
     match out {
         Err(RunError::DenseBudgetExceeded {
             requested_bytes,
@@ -548,14 +597,12 @@ fn cap_exhaustion_reports_converged_false() {
     let _guard = FaultGuard::acquire();
     let g = path_graph(40, 1.0);
     let alg = SourceDetection::sssp(g.n(), 0);
-    let (run, report) = try_run_to_fixpoint_with(&alg, &g, 3, EngineStrategy::default())
-        .expect("cap exhaustion is not an error");
+    let (run, report) = try_owned(&alg, &g, 3).expect("cap exhaustion is not an error");
     assert!(!report.converged);
     assert_eq!(report.hops, 3);
     assert!(!run.fixpoint);
     // The full run converges and says so.
-    let (_, full) =
-        try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default()).expect("full run");
+    let (_, full) = try_owned(&alg, &g, g.n() + 1).expect("full run");
     assert!(full.converged);
     assert!(full.hops > 3);
 }
@@ -577,8 +624,7 @@ fn injected_parser_io_failure_is_a_typed_parse_error() {
     // The fire was handled: a fresh guarded run sees a clean audit.
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default())
-        .expect("stale handled fire must not fail a later run");
+    try_owned(&alg, &g, g.n() + 1).expect("stale handled fire must not fail a later run");
 }
 
 /// `MTE_FAULT_PLAN`-style specs parse into the same plans the builder
@@ -607,10 +653,7 @@ fn fault_plan_spec_round_trip() {
 // ladder must absorb them within its budget.
 // ---------------------------------------------------------------------
 
-use metric_tree_embedding::core::checkpoint::{
-    try_resume_run_to_fixpoint_with, try_run_checkpointed_with, Checkpoint, CheckpointPolicy,
-};
-use metric_tree_embedding::core::{RecoveryPolicy, Supervisor};
+use metric_tree_embedding::core::{RecoveryAttempt, RecoveryPolicy, Supervisor};
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use std::cell::RefCell;
 
@@ -627,7 +670,8 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
         g,
         cap,
         strategy,
-        CheckpointPolicy::every_hops(1),
+        None,
+        CheckpointPolicy::every(1),
         |ckpt| {
             let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
             let decoded = SnapshotReader::decode(&image)
@@ -640,7 +684,8 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
         },
     )?;
     if let Some(ckpt) = last_good.into_inner() {
-        let (resumed, _) = try_resume_run_to_fixpoint_with(&alg, g, cap, strategy, &ckpt)?;
+        let from = Some(&ckpt);
+        let (resumed, _) = try_run_checkpointed_with(&alg, g, cap, strategy, from, OFF, discard)?;
         assert_eq!(
             resumed.states, run.states,
             "resume from a decoded checkpoint diverged"
@@ -709,7 +754,7 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
-    let clean = try_run_to_fixpoint_with(&alg, &g, cap, strategy).expect("clean run");
+    let clean = try_owned(&alg, &g, cap).expect("clean run");
 
     for threads in [1usize, 4] {
         // One-shot fault on the 4th hop commit: the primary attempt has
@@ -722,35 +767,34 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
         let last_good: Mutex<Option<Checkpoint<DistanceMap>>> = Mutex::new(None);
         let (g, alg, last_good) = (&g, &alg, &last_good);
         let outcome = with_threads(threads, move || {
-            Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
-                use metric_tree_embedding::core::RecoveryAttempt;
-                match attempt {
-                    RecoveryAttempt::Primary => try_run_checkpointed_with(
-                        alg,
-                        g,
-                        cap,
-                        strategy,
-                        CheckpointPolicy::every_hops(1),
-                        |ckpt| {
-                            let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
-                            let decoded = SnapshotReader::decode(&image)
-                                .and_then(|r| r.checkpoint())
-                                .map_err(|e| RunError::SnapshotCorrupt {
-                                    detail: e.to_string(),
-                                })?;
-                            *last_good.lock().unwrap() = Some(decoded);
-                            Ok(())
-                        },
-                    )
-                    .map(|(run, report)| (run.states, report)),
-                    RecoveryAttempt::RetryFromCheckpoint { .. } => {
-                        let ckpt = last_good.lock().unwrap();
-                        let ckpt = ckpt.as_ref().expect("primary captured checkpoints");
-                        try_resume_run_to_fixpoint_with(alg, g, cap, strategy, ckpt)
-                            .map(|(run, report)| (run.states, report))
-                    }
-                    RecoveryAttempt::Scratch => try_run_to_fixpoint_with(alg, g, cap, strategy)
-                        .map(|(run, report)| (run.states, report)),
+            Supervisor::new(RecoveryPolicy::default()).run(|attempt| match attempt {
+                RecoveryAttempt::Primary => try_run_checkpointed_with(
+                    alg,
+                    g,
+                    cap,
+                    strategy,
+                    None,
+                    CheckpointPolicy::every(1),
+                    |ckpt| {
+                        let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
+                        let decoded = SnapshotReader::decode(&image)
+                            .and_then(|r| r.checkpoint())
+                            .map_err(|e| RunError::SnapshotCorrupt {
+                                detail: e.to_string(),
+                            })?;
+                        *last_good.lock().unwrap() = Some(decoded);
+                        Ok(())
+                    },
+                )
+                .map(|(run, report)| (run.states, report)),
+                RecoveryAttempt::RetryFromCheckpoint { .. } => {
+                    let ckpt = last_good.lock().unwrap();
+                    let from = Some(ckpt.as_ref().expect("primary captured checkpoints"));
+                    try_run_checkpointed_with(alg, g, cap, strategy, from, OFF, discard)
+                        .map(|(run, report)| (run.states, report))
+                }
+                RecoveryAttempt::Scratch => {
+                    try_owned(alg, g, cap).map(|(run, report)| (run.states, report))
                 }
             })
         });
@@ -767,6 +811,80 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
     }
 }
 
+/// The retry rung resumes *and keeps capturing*: two one-shot engine
+/// faults kill the primary attempt and the first retry. The second
+/// retry resumes from a checkpoint the first retry captured — a later
+/// hop than the one the first retry resumed from — and ends
+/// bit-identical to the clean run.
+#[test]
+fn supervisor_second_retry_resumes_from_a_checkpoint_the_first_retry_captured() {
+    let _guard = FaultGuard::acquire();
+    // A path: one hop per vertex, room for both faults and the captures
+    // between them.
+    let g = path_graph(40, 1.0);
+    let alg = SourceDetection::sssp(g.n(), 0);
+    let cap = g.n() + 1;
+    let (clean, _) = try_owned(&alg, &g, cap).expect("clean run");
+    assert!(clean.iterations > 8, "{} hops", clean.iterations);
+
+    for threads in [1usize, 4] {
+        // Each injection counts the arrivals the ones before it let
+        // pass: the first fires in the primary attempt, the second
+        // after a few hops of the first retry.
+        let hop_commit = FaultSite::EngineHopCommit;
+        faults::install(
+            FaultPlan::new()
+                .inject(hop_commit, FaultKind::Panic, 3)
+                .inject(hop_commit, FaultKind::Panic, 6),
+        );
+        let last_good: Mutex<Option<Checkpoint<DistanceMap>>> = Mutex::new(None);
+        let resumed_at = Mutex::new(Vec::new());
+        let (g, alg, last_good, resumed_at) = (&g, &alg, &last_good, &resumed_at);
+        let outcome = with_threads(threads, move || {
+            Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
+                let from = match attempt {
+                    RecoveryAttempt::Primary => None,
+                    RecoveryAttempt::RetryFromCheckpoint { .. } => {
+                        let ckpt = last_good.lock().unwrap().clone();
+                        Some(ckpt.expect("an earlier attempt captured checkpoints"))
+                    }
+                    RecoveryAttempt::Scratch => panic!("two faults exhausted two retries"),
+                };
+                if let Some(ckpt) = &from {
+                    resumed_at.lock().unwrap().push(ckpt.hop);
+                }
+                let every1 = CheckpointPolicy::every(1);
+                let s = EngineStrategy::default();
+                try_run_checkpointed_with(alg, g, cap, s, from.as_ref(), every1, |c| {
+                    *last_good.lock().unwrap() = Some(c.clone());
+                    Ok(())
+                })
+                .map(|(run, report)| (run.states, report))
+            })
+        });
+        faults::clear();
+        let (states, report) = outcome.expect("two retries recover two one-shot faults");
+        assert_eq!(states, clean.states, "t={threads}: recovery diverged");
+        let resumed_at = std::mem::take(&mut *resumed_at.lock().unwrap());
+        assert_eq!(resumed_at.len(), 2, "t={threads}: {resumed_at:?}");
+        assert!(
+            resumed_at[1] > resumed_at[0],
+            "t={threads}: second retry did not resume later: {resumed_at:?}"
+        );
+        let ladder = &report.degradations;
+        assert!(
+            matches!(
+                ladder[..],
+                [
+                    Degradation::CheckpointRetryFailed { attempt: 1, .. },
+                    Degradation::RecoveredFromCheckpoint { attempt: 2, .. }
+                ]
+            ),
+            "t={threads}: {ladder:?}"
+        );
+    }
+}
+
 /// The supervisor's scratch rung: a corrupt snapshot load poisons both
 /// the primary attempt and the checkpoint store, so the ladder skips
 /// the retry rung and recomputes from scratch — still bit-identical.
@@ -777,20 +895,20 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
-    let clean = try_run_to_fixpoint_with(&alg, &g, cap, strategy).expect("clean run");
+    let clean = try_owned(&alg, &g, cap).expect("clean run");
 
     // Every snapshot decode fails: checkpoints are unusable for the
     // whole test.
     faults::install(FaultPlan::parse("snapshot_read:io:0:1000000").expect("valid plan"));
     let result = Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
-        use metric_tree_embedding::core::RecoveryAttempt;
         match attempt {
             RecoveryAttempt::Primary => try_run_checkpointed_with(
                 &alg,
                 &g,
                 cap,
                 strategy,
-                CheckpointPolicy::every_hops(1),
+                None,
+                CheckpointPolicy::every(1),
                 |ckpt| {
                     let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
                     SnapshotReader::decode(&image)
@@ -807,8 +925,9 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
             }
             // Scratch runs without checkpoint sinks, so the armed
             // snapshot_read plan is never consulted again.
-            RecoveryAttempt::Scratch => try_run_to_fixpoint_with(&alg, &g, cap, strategy)
-                .map(|(run, report)| (run.states, report)),
+            RecoveryAttempt::Scratch => {
+                try_owned(&alg, &g, cap).map(|(run, report)| (run.states, report))
+            }
         }
     });
     faults::clear();

@@ -10,20 +10,19 @@
 
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
-    initial_store, oracle_run_arena_with_schedule, run_to_fixpoint_arena_with, ArenaEngine,
-    ArenaMbfAlgorithm,
+    initial_store, run_to_fixpoint_arena_with, ArenaEngine, ArenaLevel, ArenaMbfAlgorithm,
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
 use metric_tree_embedding::core::dense::{
-    oracle_run_dense_with_schedule, run_to_fixpoint_dense_with, run_to_fixpoint_switching_with,
-    SwitchThresholds, SwitchingEngine,
+    run_to_fixpoint_dense_with, run_to_fixpoint_switching_with, DenseLevel, SwitchThresholds,
+    SwitchingEngine,
 };
 use metric_tree_embedding::core::engine::{
     initial_states, run_to_fixpoint_with, EngineStrategy, MbfAlgorithm, MbfEngine,
 };
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle_with, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
-use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, OracleRun};
+use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, LevelScratch, OracleRun};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::graph::algorithms::shortest_path_diameter;
 use metric_tree_embedding::prelude::*;
@@ -254,14 +253,17 @@ fn oracle_carry_over_bit_identical_to_all_dirty_restart() {
     let cap = 4 * g.n();
     for strategy in STRATEGIES {
         let kssp = SourceDetection::k_ssp(g.n(), 5);
-        let carry = oracle_run_with_schedule(&kssp, &sim, cap, strategy, true);
-        let restart = oracle_run_with_schedule(&kssp, &sim, cap, strategy, false);
+        let carry =
+            oracle_run_with_schedule::<_, LevelScratch<_>>(&kssp, &sim, cap, strategy, true);
+        let restart =
+            oracle_run_with_schedule::<_, LevelScratch<_>>(&kssp, &sim, cap, strategy, false);
         assert_oracle_runs_agree(&carry, &restart, &format!("k-ssp/{strategy:?}"));
 
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E6)));
         let le = LeListAlgorithm::new(ranks);
-        let carry = oracle_run_with_schedule(&le, &sim, cap, strategy, true);
-        let restart = oracle_run_with_schedule(&le, &sim, cap, strategy, false);
+        let carry = oracle_run_with_schedule::<_, LevelScratch<_>>(&le, &sim, cap, strategy, true);
+        let restart =
+            oracle_run_with_schedule::<_, LevelScratch<_>>(&le, &sim, cap, strategy, false);
         assert_oracle_runs_agree(&carry, &restart, &format!("le-lists/{strategy:?}"));
         // Multi-round oracle runs must see the savings the carry-over
         // exists for: later rounds touch only what the projection moved.
@@ -285,7 +287,7 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
         let ranks = Arc::clone(&ranks);
         let sim = &sim;
         with_threads(threads, move || {
-            oracle_run_with_schedule(
+            oracle_run_with_schedule::<_, LevelScratch<_>>(
                 &LeListAlgorithm::new(ranks),
                 sim,
                 cap,
@@ -352,18 +354,18 @@ where
     A: ArenaMbfAlgorithm + Sync,
 {
     let strategy = EngineStrategy::Frontier;
-    let reference = oracle_run_with_schedule(alg, sim, cap, strategy, false);
+    let reference = oracle_run_with_schedule::<_, LevelScratch<_>>(alg, sim, cap, strategy, false);
     let mut entries = [(0, 0); 2];
     for threads in [1, 4] {
         let runs = with_threads(threads, || {
             [
                 (
-                    oracle_run_with_schedule(alg, sim, cap, strategy, true),
-                    oracle_run_with_schedule(alg, sim, cap, strategy, false),
+                    oracle_run_with_schedule::<_, LevelScratch<_>>(alg, sim, cap, strategy, true),
+                    oracle_run_with_schedule::<_, LevelScratch<_>>(alg, sim, cap, strategy, false),
                 ),
                 (
-                    oracle_run_arena_with_schedule(alg, sim, cap, strategy, true),
-                    oracle_run_arena_with_schedule(alg, sim, cap, strategy, false),
+                    oracle_run_with_schedule::<_, ArenaLevel>(alg, sim, cap, strategy, true),
+                    oracle_run_with_schedule::<_, ArenaLevel>(alg, sim, cap, strategy, false),
                 ),
             ]
         });
@@ -396,14 +398,14 @@ fn assert_dense_closure_carry_over_matches_owned(
     let cap = 4 * g.n();
     let alg = SourceDetection::apsp(g.n());
     let strategy = EngineStrategy::default();
-    let reference = oracle_run_with_schedule(&alg, sim, cap, strategy, false);
-    let owned = oracle_run_with_schedule(&alg, sim, cap, strategy, true);
+    let reference = oracle_run_with_schedule::<_, LevelScratch<_>>(&alg, sim, cap, strategy, false);
+    let owned = oracle_run_with_schedule::<_, LevelScratch<_>>(&alg, sim, cap, strategy, true);
     let mut entries = (0, 0);
     for threads in [1, 4] {
         let (carry, restart) = with_threads(threads, || {
             (
-                oracle_run_dense_with_schedule(&alg, sim, cap, strategy, true),
-                oracle_run_dense_with_schedule(&alg, sim, cap, strategy, false),
+                oracle_run_with_schedule::<_, DenseLevel<_>>(&alg, sim, cap, strategy, true),
+                oracle_run_with_schedule::<_, DenseLevel<_>>(&alg, sim, cap, strategy, false),
             )
         });
         for (schedule, run) in [
@@ -520,7 +522,7 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
 
     // The PR 1/PR 2 reference: default recompute (merge everything,
     // then filter) with every level restarting all-dirty each round.
-    let reference = oracle_run_with_schedule(
+    let reference = oracle_run_with_schedule::<_, LevelScratch<_>>(
         &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))),
         &sim,
         cap,
@@ -714,8 +716,11 @@ fn arena_oracle_bit_identical_to_owned_oracle() {
     for strategy in [EngineStrategy::Frontier, EngineStrategy::default()] {
         for carry_over in [true, false] {
             let le = LeListAlgorithm::new(Arc::clone(&ranks));
-            let owned = oracle_run_with_schedule(&le, &sim, cap, strategy, carry_over);
-            let arena = oracle_run_arena_with_schedule(&le, &sim, cap, strategy, carry_over);
+            let owned = oracle_run_with_schedule::<_, LevelScratch<_>>(
+                &le, &sim, cap, strategy, carry_over,
+            );
+            let arena =
+                oracle_run_with_schedule::<_, ArenaLevel>(&le, &sim, cap, strategy, carry_over);
             assert_eq!(
                 owned.states, arena.states,
                 "oracle/{strategy:?}/carry={carry_over}: arena diverged"
@@ -724,8 +729,11 @@ fn arena_oracle_bit_identical_to_owned_oracle() {
             assert_eq!(owned.fixpoint, arena.fixpoint);
 
             let kssp = SourceDetection::k_ssp(g.n(), 5);
-            let owned = oracle_run_with_schedule(&kssp, &sim, cap, strategy, carry_over);
-            let arena = oracle_run_arena_with_schedule(&kssp, &sim, cap, strategy, carry_over);
+            let owned = oracle_run_with_schedule::<_, LevelScratch<_>>(
+                &kssp, &sim, cap, strategy, carry_over,
+            );
+            let arena =
+                oracle_run_with_schedule::<_, ArenaLevel>(&kssp, &sim, cap, strategy, carry_over);
             assert_eq!(owned.states, arena.states);
             assert_eq!(owned.h_iterations, arena.h_iterations);
             assert_eq!(owned.fixpoint, arena.fixpoint);
@@ -867,13 +875,25 @@ fn dense_oracle_bit_identical_to_owned_oracle_across_threads() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let alg = SourceDetection::apsp(g.n());
-    let reference = oracle_run_with_schedule(&alg, &sim, cap, EngineStrategy::Frontier, true);
+    let reference = oracle_run_with_schedule::<_, LevelScratch<_>>(
+        &alg,
+        &sim,
+        cap,
+        EngineStrategy::Frontier,
+        true,
+    );
     let sim = &sim;
     let alg = &alg;
     for threads in [1, 4] {
         for carry_over in [true, false] {
             let dense = with_threads(threads, move || {
-                oracle_run_dense_with_schedule(alg, sim, cap, EngineStrategy::Frontier, carry_over)
+                oracle_run_with_schedule::<_, DenseLevel<_>>(
+                    alg,
+                    sim,
+                    cap,
+                    EngineStrategy::Frontier,
+                    carry_over,
+                )
             });
             assert_eq!(
                 dense.states, reference.states,
@@ -939,8 +959,8 @@ proptest! {
         // (projection diff), and levels switch between the two.
         let sim = SimulatedGraph::without_hopset(&g, d, 0.2, &mut rng);
         let le = LeListAlgorithm::new(Arc::clone(&ranks));
-        let carry = oracle_run_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
-        let restart = oracle_run_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
+        let carry = oracle_run_with_schedule::<_, LevelScratch<_>>(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
+        let restart = oracle_run_with_schedule::<_, LevelScratch<_>>(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
         prop_assert_eq!(&carry.states, &restart.states);
         prop_assert_eq!(carry.h_iterations, restart.h_iterations);
         prop_assert_eq!(carry.fixpoint, restart.fixpoint);
@@ -952,16 +972,16 @@ proptest! {
         prop_assert_eq!(&arena.states, &owned.states);
         prop_assert_eq!(arena.iterations, owned.iterations);
         let arena_oracle =
-            oracle_run_arena_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
+            oracle_run_with_schedule::<_, ArenaLevel>(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
         prop_assert_eq!(&arena_oracle.states, &carry.states);
         prop_assert_eq!(arena_oracle.h_iterations, carry.h_iterations);
         prop_assert_eq!(arena_oracle.fixpoint, carry.fixpoint);
         // The same mix under a non-pruning algorithm.
         let kssp = SourceDetection::k_ssp(g.n(), 3);
-        let restart = oracle_run_with_schedule(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
+        let restart = oracle_run_with_schedule::<_, LevelScratch<_>>(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
         for carry in [
-            oracle_run_with_schedule(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, true),
-            oracle_run_arena_with_schedule(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, true),
+            oracle_run_with_schedule::<_, LevelScratch<_>>(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, true),
+            oracle_run_with_schedule::<_, ArenaLevel>(&kssp, &sim, 3 * g.n(), EngineStrategy::Frontier, true),
         ] {
             prop_assert_eq!(&carry.states, &restart.states);
             prop_assert_eq!(carry.h_iterations, restart.h_iterations);
@@ -970,10 +990,10 @@ proptest! {
         // And the dense oracle on APSP, both schedules, against the
         // owned restart.
         let apsp = SourceDetection::apsp(g.n());
-        let restart = oracle_run_with_schedule(&apsp, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
+        let restart = oracle_run_with_schedule::<_, LevelScratch<_>>(&apsp, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
         for carry_over in [true, false] {
             let dense =
-                oracle_run_dense_with_schedule(&apsp, &sim, 3 * g.n(), EngineStrategy::Frontier, carry_over);
+                oracle_run_with_schedule::<_, DenseLevel<_>>(&apsp, &sim, 3 * g.n(), EngineStrategy::Frontier, carry_over);
             prop_assert_eq!(&dense.states, &restart.states);
             prop_assert_eq!(dense.h_iterations, restart.h_iterations);
             prop_assert_eq!(dense.fixpoint, restart.fixpoint);
