@@ -37,8 +37,11 @@
 //! replaces the former `clone_from` double-buffering. Superseded spans
 //! become garbage; a **compaction** pass (amortized by a high-water
 //! heuristic: compact when more than half the post-append pool would be
-//! garbage) rewrites the live spans in vertex order into the shadow
-//! pool and swaps the buffers.
+//! garbage) rewrites the live spans in vertex order into a fresh pool
+//! buffer and frees the old one, so a store retains exactly one pool
+//! (entry column plus rank column) at any time. The fresh buffer is
+//! sized to the pool length at which the next compaction would trigger,
+//! so the appends that follow do not regrow it at once.
 //!
 //! # Determinism
 //!
@@ -87,8 +90,9 @@ pub struct StoreStats {
     /// assignments, and compaction copies). Copy-on-write keeps
     /// unchanged vertices off this tally entirely.
     pub bytes_copied: u64,
-    /// Heap (re)allocations the store performed: pool/shadow/span-table
-    /// growth events. Stays `O(log pool)` over a run — versus the `Θ(n)`
+    /// Heap (re)allocations the store performed: pool growth events,
+    /// one fresh pool per compaction, and span-table growth. Stays
+    /// `O(log pool + compactions)` over a run — versus the `Θ(n)`
     /// per-vertex buffers of an owned state vector.
     pub alloc_count: u64,
     /// Peak pool footprint in bytes (entries + rank column), the arena's
@@ -211,9 +215,6 @@ pub struct EpochStore {
     spans: Vec<Span>,
     /// Sum of live span lengths; `entries.len() - live` is garbage.
     live: usize,
-    /// Shadow columns the compactor writes into (ping-pong buffers).
-    shadow_entries: Vec<(NodeId, Dist)>,
-    shadow_ranks: Vec<u32>,
     /// Whether the parallel rank column is maintained. Off (the
     /// per-algorithm default), entries cost [`ENTRY_BYTES_UNRANKED`]
     /// instead of [`ENTRY_BYTES`] — sssp/source-detection appends used
@@ -345,16 +346,11 @@ impl EpochStore {
     /// Runs `f` over the store and counts column (re)allocations by
     /// capacity deltas.
     fn track_alloc(&mut self, f: impl FnOnce(&mut Self)) {
-        let caps = (
-            self.entries.capacity(),
-            self.shadow_entries.capacity(),
-            self.spans.capacity(),
-        );
+        let caps = (self.entries.capacity(), self.spans.capacity());
         f(self);
         let grown = [
             caps.0 != self.entries.capacity(),
-            caps.1 != self.shadow_entries.capacity(),
-            caps.2 != self.spans.capacity(),
+            caps.1 != self.spans.capacity(),
         ];
         // The rank columns grow in lockstep with their entry columns;
         // counting the pair as one allocation event keeps the counter a
@@ -376,7 +372,7 @@ impl EpochStore {
     pub fn begin_epoch(&mut self, incoming: usize) {
         let projected = self.entries.len() + incoming;
         if projected > MIN_COMPACTION_POOL && projected > 2 * (self.live + incoming) {
-            self.compact();
+            self.compact_reserving(incoming);
         }
     }
 
@@ -491,29 +487,34 @@ impl EpochStore {
             .collect()
     }
 
-    /// Compacts the pool: copies live spans in vertex order into the
-    /// shadow columns and swaps the buffers. Span windows move, their
-    /// contents do not. The resulting layout is a pure function of the
-    /// current spans.
+    /// Compacts the pool: copies live spans in vertex order into a fresh
+    /// buffer and frees the old pool. Span windows move, their contents
+    /// do not. The resulting layout is a pure function of the current
+    /// spans.
     pub fn compact(&mut self) {
-        self.track_alloc(|s| {
-            s.shadow_entries.clear();
-            s.shadow_ranks.clear();
-            s.shadow_entries.reserve(s.live);
-            if s.ranked {
-                s.shadow_ranks.reserve(s.live);
+        self.compact_reserving(0);
+    }
+
+    /// [`EpochStore::compact`] for an epoch about to append `incoming`
+    /// entries: the fresh buffer holds `2·(live + incoming)` entries, the
+    /// pool length at which [`EpochStore::begin_epoch`] would compact
+    /// again, so the triggering append fits without a regrowth.
+    fn compact_reserving(&mut self, incoming: usize) {
+        let cap = 2 * (self.live + incoming);
+        let mut entries = Vec::with_capacity(cap);
+        let mut ranks = Vec::with_capacity(if self.ranked { cap } else { 0 });
+        for span in self.spans.iter_mut() {
+            let (a, b) = (span.off as usize, span.off as usize + span.len as usize);
+            span.off = entries.len() as u32;
+            entries.extend_from_slice(&self.entries[a..b]);
+            if self.ranked {
+                ranks.extend_from_slice(&self.ranks[a..b]);
             }
-            for span in s.spans.iter_mut() {
-                let (a, b) = (span.off as usize, span.off as usize + span.len as usize);
-                span.off = s.shadow_entries.len() as u32;
-                s.shadow_entries.extend_from_slice(&s.entries[a..b]);
-                if s.ranked {
-                    s.shadow_ranks.extend_from_slice(&s.ranks[a..b]);
-                }
-            }
-            std::mem::swap(&mut s.entries, &mut s.shadow_entries);
-            std::mem::swap(&mut s.ranks, &mut s.shadow_ranks);
-        });
+        }
+        // The old columns are dropped here: one pool is retained.
+        self.entries = entries;
+        self.ranks = ranks;
+        self.stats.alloc_count += u64::from(cap > 0);
         self.stats.bytes_copied += self.live as u64 * self.entry_bytes();
         self.stats.compactions += 1;
         debug_assert_eq!(self.entries.len(), self.live);
@@ -607,6 +608,52 @@ mod tests {
         // The pool grows by doubling: allocation events stay tiny
         // relative to the number of writes.
         assert!(stats.alloc_count < 64);
+    }
+
+    /// Bytes of pool capacity the store retains: entry column plus rank
+    /// column, the only pool buffers it owns.
+    fn retained_pool_bytes(store: &EpochStore) -> usize {
+        store.entries.capacity() * std::mem::size_of::<(NodeId, Dist)>()
+            + store.ranks.capacity() * std::mem::size_of::<u32>()
+    }
+
+    #[test]
+    fn compaction_retains_one_pool_sized_to_the_next_threshold() {
+        let mut store = EpochStore::new(4);
+        store.import(&[dm(&[]), dm(&[]), dm(&[]), dm(&[])], |_| 0);
+        let big: Vec<(NodeId, Dist)> = (0..512).map(|i| (i, Dist::new(i as f64))).collect();
+        let incoming = big.len();
+        let mut seen = 0;
+        for _ in 0..64 {
+            let before = store.stats().compactions;
+            store.assign(2, &big, |_| 0);
+            if store.stats().compactions == before {
+                continue;
+            }
+            // The compaction ran inside this assign's `begin_epoch`: one
+            // fresh pool holding the live states and the triggering
+            // append, sized to the next compaction threshold.
+            seen += 1;
+            let bound = 2 * (store.live_entries() + incoming) + MIN_COMPACTION_POOL;
+            assert!(
+                store.entries.capacity() <= bound,
+                "{}",
+                store.entries.capacity()
+            );
+            assert!(
+                store.ranks.capacity() <= bound,
+                "{}",
+                store.ranks.capacity()
+            );
+            assert!(retained_pool_bytes(&store) as u64 <= bound as u64 * ENTRY_BYTES);
+        }
+        assert!(seen > 0, "the churn never compacted");
+        // An explicit compaction keeps one pool of at most twice the
+        // live entries.
+        store.compact();
+        let bound = 2 * store.live_entries() + MIN_COMPACTION_POOL;
+        assert!(store.entries.capacity() <= bound && store.ranks.capacity() <= bound);
+        assert_eq!(store.pool_entries(), store.live_entries());
     }
 
     #[test]

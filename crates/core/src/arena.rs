@@ -24,10 +24,18 @@
 //! outputs are bit-identical by construction (differential-tested by
 //! `tests/schedule_equivalence.rs`). During a hop, each scheduling
 //! chunk writes its recomputed states into its own **chunk append
-//! region** (plain `Vec`s owned by the chunk slot — no synchronization,
-//! no `unsafe`); the commit concatenates the regions into the pool in
+//! region** (plain `Vec`s, one per chunk — no synchronization, no
+//! `unsafe`); the commit concatenates the regions into the pool in
 //! chunk order, so the pool layout is a pure function of the schedule
 //! and the inputs, never of `MTE_THREADS`.
+//!
+//! The regions live only for one hop, so they are not part of the
+//! engine: a step borrows them from an [`ArenaScratch`] the caller
+//! passes in. Every buffer is cleared before the step writes it and
+//! nothing a previous step left is ever read, so any scratch serves any
+//! engine. A plain engine run owns one; the oracle checks one out per
+//! level task from a pool of at most one per worker thread, instead of
+//! keeping `Λ + 1` sets of regions alive.
 //!
 //! # The algorithm hook
 //!
@@ -83,7 +91,7 @@
 //! The oracle's arena lane ([`ArenaLevel`], the FRT path) keeps
 //! each level's `y_λ` in its own pool lane — `O(Λ)` buffers in total
 //! instead of `Θ(Λ·n)` per-vertex maps — and runs the one oracle loop of
-//! [`crate::oracle`].
+//! [`crate::oracle`], stepping on checked-out [`ArenaScratch`] regions.
 
 use crate::checkpoint::{drive, Backend, Checkpoint, CheckpointPolicy};
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
@@ -360,8 +368,9 @@ struct Rec {
 
 /// One chunk's append region: the entry/rank columns the chunk's
 /// recomputations write (changed states only — unchanged output is
-/// truncated away immediately), plus the per-vertex records. Owned by
-/// the chunk slot and reused across hops.
+/// truncated away immediately), plus the per-vertex records. Slot `i`
+/// of an [`ArenaScratch`] serves chunk `i` of whichever hop runs on it,
+/// and the hop clears it before writing.
 #[derive(Clone, Debug, Default)]
 struct ChunkBuf {
     entries: Vec<(NodeId, Dist)>,
@@ -369,17 +378,53 @@ struct ChunkBuf {
     recs: Vec<Rec>,
 }
 
+/// The hop-lifetime buffers of an [`ArenaEngine::step`]: one append
+/// region per scheduling chunk and the hop's per-touched-position
+/// changed flags. A step clears each buffer before writing it and never
+/// reads what an earlier step left, so one scratch serves any engine,
+/// lane or hop; only its capacity carries over.
+#[derive(Clone, Debug, Default)]
+pub struct ArenaScratch {
+    chunks: Vec<ChunkBuf>,
+    changed: Vec<bool>,
+}
+
+#[cfg(test)]
+impl ArenaScratch {
+    /// A scratch whose every buffer holds junk a hop must never read:
+    /// out-of-range entries, bogus records, set changed flags.
+    pub(crate) fn junk(n: usize) -> Self {
+        let junk_region = ChunkBuf {
+            entries: vec![(n as NodeId + 7, Dist::new(0.5)); 3 * n],
+            ranks: vec![u32::MAX; 3 * n],
+            recs: vec![
+                Rec {
+                    off: u32::MAX,
+                    len: 5,
+                    entries: 77,
+                    relaxations: 88,
+                    changed: true,
+                    mask: 0,
+                };
+                n
+            ],
+        };
+        ArenaScratch {
+            chunks: vec![junk_region; 16],
+            changed: vec![true; 3 * n],
+        }
+    }
+}
+
 /// The arena-backed iteration engine: the `FrontierSchedule` of the
 /// owned [`crate::engine::MbfEngine`] driving copy-on-write hops over an
-/// [`EpochStore`]. One engine serves arbitrarily many hops without
-/// reallocating; the store is passed per step so callers (the oracle)
-/// can own several state vectors.
+/// [`EpochStore`]. The engine keeps what must persist between hops
+/// (schedule, taints, new-entry masks); the store and the hop's
+/// [`ArenaScratch`] are passed per step, so callers (the oracle) can own
+/// several state vectors and share scratch between them.
 #[derive(Clone, Debug)]
 pub struct ArenaEngine {
     sched: FrontierSchedule,
-    chunk_bufs: Vec<ChunkBuf>,
-    /// Per-touched-position changed flags of the current hop.
-    changed: Vec<bool>,
     /// Taints for externally rewritten vertices (see
     /// [`RecomputeCtx::require_full`]): a tainted `v` must do one
     /// full-merge recomputation. Cleared per vertex when it is
@@ -396,8 +441,6 @@ impl ArenaEngine {
     pub fn new(strategy: EngineStrategy) -> Self {
         ArenaEngine {
             sched: FrontierSchedule::new(strategy),
-            chunk_bufs: Vec::new(),
-            changed: Vec::new(),
             taint: crate::engine::TaintTable::new(),
             new_masks: Vec::new(),
         }
@@ -472,15 +515,17 @@ impl ArenaEngine {
     }
 
     /// One hop `x ← r^V A x` over the span-backed state vector, with
-    /// all edge weights multiplied by `weight_scale`. Bit-identical to
-    /// [`crate::engine::MbfEngine::step`] on the exported states; returns the work
-    /// spent (including storage counters) and whether any state
-    /// changed.
+    /// all edge weights multiplied by `weight_scale`, writing its chunk
+    /// regions into `scratch` (whose prior contents it never reads).
+    /// Bit-identical to [`crate::engine::MbfEngine::step`] on the
+    /// exported states; returns the work spent (including storage
+    /// counters) and whether any state changed.
     pub fn step<A: ArenaMbfAlgorithm>(
         &mut self,
         alg: &A,
         g: &Graph,
         store: &mut EpochStore,
+        scratch: &mut ArenaScratch,
         weight_scale: f64,
     ) -> (WorkStats, bool) {
         let n = g.n();
@@ -492,8 +537,8 @@ impl ArenaEngine {
         let touched: &[NodeId] = self.sched.touched();
         let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
         let k = chunks.len();
-        if self.chunk_bufs.len() < k {
-            self.chunk_bufs.resize_with(k, ChunkBuf::default);
+        if scratch.chunks.len() < k {
+            scratch.chunks.resize_with(k, ChunkBuf::default);
         }
 
         // Recompute phase: each chunk pulls its vertices' next states
@@ -507,7 +552,7 @@ impl ArenaEngine {
             taint: &self.taint,
             new_masks: &self.new_masks,
         };
-        self.chunk_bufs[..k]
+        scratch.chunks[..k]
             .par_iter_mut()
             .with_min_len(1)
             .enumerate()
@@ -566,13 +611,13 @@ impl ArenaEngine {
             mte_faults::trigger_panic(mte_faults::FaultSite::EngineHopCommit);
         }
         let before = store.stats();
-        let total_new: usize = self.chunk_bufs[..k].iter().map(|b| b.entries.len()).sum();
+        let total_new: usize = scratch.chunks[..k].iter().map(|b| b.entries.len()).sum();
         store.begin_epoch(total_new);
-        self.changed.clear();
+        scratch.changed.clear();
         let mut entries = 0u64;
         let mut relaxations = 0u64;
         let mut any_changed = false;
-        for (ci, buf) in self.chunk_bufs[..k].iter().enumerate() {
+        for (ci, buf) in scratch.chunks[..k].iter().enumerate() {
             let base = store.append_region(&buf.entries, &buf.ranks);
             debug_assert_eq!(buf.recs.len(), chunks[ci].len());
             for (rec, p) in buf.recs.iter().zip(chunks[ci].clone()) {
@@ -583,10 +628,10 @@ impl ArenaEngine {
                     self.new_masks[touched[p] as usize] = rec.mask;
                     any_changed = true;
                 }
-                self.changed.push(rec.changed);
+                scratch.changed.push(rec.changed);
             }
         }
-        debug_assert_eq!(self.changed.len(), touched.len());
+        debug_assert_eq!(scratch.changed.len(), touched.len());
 
         // Every touched vertex was recomputed (tainted ones with full
         // merges), so its taint is discharged.
@@ -595,7 +640,7 @@ impl ArenaEngine {
         }
 
         let touched_vertices = touched.len() as u64;
-        let changed: &[bool] = &self.changed;
+        let changed: &[bool] = &scratch.changed;
         self.sched.refresh(g, |p| changed[p]);
 
         let mut work = WorkStats {
@@ -638,11 +683,12 @@ pub fn run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
     }
 }
 
-/// The arena backend of the fixpoint driver: an [`ArenaEngine`] and the
-/// epoch pool it steps.
+/// The arena backend of the fixpoint driver: an [`ArenaEngine`], the
+/// epoch pool it steps, and the one hop scratch its steps share.
 pub(crate) struct ArenaBackend {
     engine: ArenaEngine,
     store: EpochStore,
+    scratch: ArenaScratch,
     /// The initial pool load, charged before the first hop.
     setup: WorkStats,
 }
@@ -675,6 +721,7 @@ impl ArenaBackend {
         ArenaBackend {
             engine,
             store,
+            scratch: ArenaScratch::default(),
             setup,
         }
     }
@@ -682,7 +729,8 @@ impl ArenaBackend {
 
 impl<A: ArenaMbfAlgorithm> Backend<A> for ArenaBackend {
     fn hop(&mut self, alg: &A, g: &Graph) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.store, 1.0)
+        self.engine
+            .step(alg, g, &mut self.store, &mut self.scratch, 1.0)
     }
 
     fn frontier(&self) -> &[NodeId] {
@@ -711,7 +759,8 @@ impl<A: ArenaMbfAlgorithm> Backend<A> for ArenaBackend {
 
 /// The arena oracle lane, the one `FrtEmbedding::sample` runs: `y_λ` as
 /// one pool lane and span table, stepped by an [`ArenaEngine`] — `O(Λ)`
-/// buffers in total, no per-vertex maps.
+/// buffers in total, no per-vertex maps. Its hops write into an
+/// [`ArenaScratch`] the oracle checks out per level task.
 pub struct ArenaLevel {
     engine: ArenaEngine,
     store: EpochStore,
@@ -720,6 +769,7 @@ pub struct ArenaLevel {
 impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLevel {
     type X = Vec<DistanceMap>;
     type Staged = DistanceMap;
+    type Scratch = ArenaScratch;
 
     fn new(_: &A, strategy: EngineStrategy, n: usize) -> Self {
         let mut engine = ArenaEngine::new(strategy);
@@ -770,8 +820,14 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLevel {
         }
     }
 
-    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.store, scale)
+    fn hop(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        scratch: &mut ArenaScratch,
+        scale: f64,
+    ) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.store, scratch, scale)
     }
 
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
@@ -801,6 +857,9 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLevel {
         for (v, m) in staged {
             x[v as usize] = m;
         }
+    }
+    fn capture(x: &Self::X) -> Vec<DistanceMap> {
+        x.clone()
     }
 }
 
@@ -900,6 +959,7 @@ mod tests {
         let mut store = initial_store(&alg, g.n());
         let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
         engine.mark_all_dirty(&g);
+        let scratch = &mut ArenaScratch::default();
 
         for round in 0..6u64 {
             // External sparse edit on both backends.
@@ -916,7 +976,7 @@ mod tests {
             }
             for _ in 0..3 {
                 owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-                engine.step(&alg, &g, &mut store, 1.0);
+                engine.step(&alg, &g, &mut store, scratch, 1.0);
             }
             assert_eq!(store.export(), owned_states, "round {round}");
         }
@@ -940,6 +1000,7 @@ mod tests {
         let mut store = initial_store(&alg, g.n());
         let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
         engine.mark_all_dirty(&g);
+        let scratch = &mut ArenaScratch::default();
 
         for round in 0..8u64 {
             let v = (round * 7 % g.n() as u64) as NodeId;
@@ -951,7 +1012,7 @@ mod tests {
             store.compact();
             for hop in 0..3 {
                 let (wo, co) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-                let (wa, ca) = engine.step(&alg, &g, &mut store, 1.0);
+                let (wa, ca) = engine.step(&alg, &g, &mut store, scratch, 1.0);
                 assert_eq!(store.export(), owned_states, "round {round} hop {hop}");
                 assert_eq!(ca, co, "round {round} hop {hop}");
                 assert_eq!(wa.entries_processed, wo.entries_processed);

@@ -69,7 +69,7 @@ use crate::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use crate::dense::{DenseBackend, DenseMbfAlgorithm, SwitchThresholds, SwitchingEngine};
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use crate::error::{guarded, Degradation, RunError, RunReport};
-use crate::oracle::{fresh_levels, oracle_loop, Lane, OracleRun};
+use crate::oracle::{fresh_levels, oracle_loop, Lane, OracleRun, ScratchPool};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{DenseKernel, DenseState};
@@ -367,6 +367,7 @@ where
             h,
             true,
             levels,
+            &ScratchPool::new(),
             states,
             start as usize,
             |round, x| {
@@ -374,7 +375,7 @@ where
                     sink(&Checkpoint {
                         hop: round as u64,
                         frontier: Vec::new(),
-                        states: x.clone().into(),
+                        states: L::capture(x),
                     })?;
                 }
                 Ok(())

@@ -129,24 +129,53 @@ where
     }
 }
 
+/// The hop-lifetime buffers of a [`DenseEngine::step`]: the flat
+/// `n × k` shadow matrix the recompute writes into, and the hop's
+/// per-touched-position `(entries, relaxations, changed)` tallies. A
+/// step writes a shadow row before it reads it and copies back only
+/// the rows it changed, so nothing an earlier step left is ever read:
+/// one scratch serves any engine, lane or hop. A plain engine run owns
+/// one; the dense oracle checks one out per level task from a pool of
+/// at most one per worker thread, instead of keeping an `n × n` shadow
+/// per level.
+#[derive(Clone, Debug)]
+pub struct DenseScratch<S> {
+    next: Vec<S>,
+    per_vertex: Vec<(u64, u64, bool)>,
+}
+
+impl<S> Default for DenseScratch<S> {
+    fn default() -> Self {
+        DenseScratch {
+            next: Vec::new(),
+            per_vertex: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl<S: Semiring> DenseScratch<S> {
+    /// A scratch for `n × n` blocks whose every shadow row is poisoned
+    /// and whose tallies are junk: a hop must never read either.
+    pub(crate) fn junk(n: usize) -> Self {
+        let mut poisoned = S::zero();
+        poisoned.poison();
+        DenseScratch {
+            next: vec![poisoned; n * n],
+            per_vertex: vec![(77, 88, true); n],
+        }
+    }
+}
+
 /// The dense-block iteration engine: the `FrontierSchedule` of the
 /// owned [`MbfEngine`] driving row-kernel hops over a [`DenseBlock`].
-/// One engine serves arbitrarily many hops without reallocating; the
-/// block is passed per step so callers (the oracle) can own several
-/// state matrices.
+/// The engine keeps what must persist between hops (schedule, taints);
+/// the block and the hop's [`DenseScratch`] (the shadow rows) are passed
+/// per step, so callers (the oracle) can own several state matrices and
+/// share shadows between them.
 #[derive(Clone, Debug)]
-pub struct DenseEngine<A: DenseMbfAlgorithm>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+pub struct DenseEngine {
     sched: FrontierSchedule,
-    /// Flat shadow matrix (`n·k` values) written during a hop; changed
-    /// rows are copied into the block at commit.
-    next: Vec<A::S>,
-    /// Per-touched-position `(entries, relaxations, changed)` of the
-    /// current hop.
-    per_vertex: Vec<(u64, u64, bool)>,
     /// Taints for externally rewritten rows (the dense counterpart of
     /// [`crate::arena::RecomputeCtx::require_full`]): a tainted vertex
     /// has absorbed nothing, so its next recomputation must merge
@@ -156,17 +185,11 @@ where
     taint: crate::engine::TaintTable,
 }
 
-impl<A: DenseMbfAlgorithm> DenseEngine<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+impl DenseEngine {
     /// A fresh engine with the given scheduling strategy.
     pub fn new(strategy: EngineStrategy) -> Self {
         DenseEngine {
             sched: FrontierSchedule::new(strategy),
-            next: Vec::new(),
-            per_vertex: Vec::new(),
             taint: crate::engine::TaintTable::new(),
         }
     }
@@ -228,22 +251,32 @@ where
     }
 
     /// One hop `x ← r^V A x` over the dense block, with all edge
-    /// weights multiplied by `weight_scale`. Bit-identical to
-    /// [`MbfEngine::step`] on the exported states; returns the work
-    /// spent and whether any row changed.
+    /// weights multiplied by `weight_scale`, computing changed rows in
+    /// `scratch`'s shadow (whose prior contents it never reads).
+    /// Bit-identical to [`MbfEngine::step`] on the exported states;
+    /// returns the work spent and whether any row changed.
     ///
     /// `entries_processed` counts **dense coordinates** touched
     /// (`k` per source row folded, own row included) — a different
     /// currency than the sparse backends' per-entry counts; states,
     /// iterations, fixpoints, `edge_relaxations`, and
-    /// `touched_vertices` remain exactly comparable.
-    pub fn step(
+    /// `touched_vertices` remain exactly comparable. The shadow is hop
+    /// scratch, not state storage, and is charged to no storage counter
+    /// (as the arena's chunk regions are not), so the counters never
+    /// depend on which scratch a hop ran on.
+    pub fn step<A>(
         &mut self,
         alg: &A,
         g: &Graph,
         block: &mut DenseBlock<A::S>,
+        scratch: &mut DenseScratch<A::S>,
         weight_scale: f64,
-    ) -> (WorkStats, bool) {
+    ) -> (WorkStats, bool)
+    where
+        A: DenseMbfAlgorithm,
+        A::S: DenseKernel,
+        A::M: DenseState<A::S>,
+    {
         let n = g.n();
         assert_eq!(n, block.rows(), "state block / graph size mismatch");
         let k = block.cols();
@@ -253,13 +286,10 @@ where
             // taint table is sized in the same stroke.
             self.mark_all_dirty(g);
         }
-        let mut alloc_count = 0u64;
-        if self.next.len() != n * k {
-            self.next.clear();
-            self.next.resize(n * k, <A::S as Semiring>::zero());
-            // One flat shadow buffer — versus Θ(n) per-vertex buffers
-            // of the owned backend.
-            alloc_count = 1;
+        let DenseScratch { next, per_vertex } = scratch;
+        if next.len() != n * k {
+            next.clear();
+            next.resize(n * k, <A::S as Semiring>::zero());
         }
 
         self.sched.plan_hop(g);
@@ -268,11 +298,11 @@ where
 
         // Recompute phase: each chunk pulls its vertices' rows through
         // the cache-tiled row kernels into its disjoint shadow rows.
-        self.per_vertex.clear();
-        self.per_vertex.resize(touched.len(), (0, 0, false));
+        per_vertex.clear();
+        per_vertex.resize(touched.len(), (0, 0, false));
         let block_ref: &DenseBlock<A::S> = block;
-        let next_base = SyncPtr(self.next.as_mut_ptr());
-        let stats_base = SyncPtr(self.per_vertex.as_mut_ptr());
+        let next_base = SyncPtr(next.as_mut_ptr());
+        let stats_base = SyncPtr(per_vertex.as_mut_ptr());
         // Absorption-stable algorithms skip source rows that did not
         // change since `v` last absorbed them (the frontier tells us
         // which did) — on a memory-bound hop, rows never read are the
@@ -340,7 +370,7 @@ where
         // on its next recompute anyway); tallies merge through the
         // fixed-shape reduction tree — bit-identical for every thread
         // count.
-        let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
+        let per_vertex: &[(u64, u64, bool)] = per_vertex;
         let block_base = SyncPtr(block.values_mut().as_mut_ptr());
         let (entries, relaxations, any_changed) = chunks
             .par_iter()
@@ -383,7 +413,6 @@ where
         // Every touched row was rewritten wholesale into the shadow —
         // the same model-level accounting as the owned backend.
         let bytes_copied = touched_vertices * (k * std::mem::size_of::<A::S>()) as u64;
-        let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
         self.sched.refresh(g, |p| per_vertex[p].2);
 
         // Fault-injection site: the hop's commit just completed; a
@@ -401,7 +430,6 @@ where
             edge_relaxations: relaxations,
             touched_vertices,
             bytes_copied,
-            alloc_count,
             dense_hops: 1,
             ..WorkStats::default()
         };
@@ -443,15 +471,16 @@ where
     }
 }
 
-/// The dense backend of the fixpoint driver: a [`DenseEngine`] and the
-/// block it steps.
+/// The dense backend of the fixpoint driver: a [`DenseEngine`], the
+/// block it steps, and the one shadow its steps share.
 pub(crate) struct DenseBackend<A: DenseMbfAlgorithm>
 where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    engine: DenseEngine<A>,
+    engine: DenseEngine,
     block: DenseBlock<A::S>,
+    scratch: DenseScratch<A::S>,
 }
 
 impl<A: DenseMbfAlgorithm> DenseBackend<A>
@@ -496,7 +525,11 @@ where
                 DenseBlock::from_states(&ckpt.states, n)
             }
         };
-        Ok(DenseBackend { engine, block })
+        Ok(DenseBackend {
+            engine,
+            block,
+            scratch: DenseScratch::default(),
+        })
     }
 }
 
@@ -506,7 +539,8 @@ where
     A::M: DenseState<A::S>,
 {
     fn hop(&mut self, alg: &A, g: &Graph) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.block, 1.0)
+        self.engine
+            .step(alg, g, &mut self.block, &mut self.scratch, 1.0)
     }
 
     fn frontier(&self) -> &[NodeId] {
@@ -594,7 +628,9 @@ where
     thresholds: SwitchThresholds,
     mode: ReprMode,
     sparse_engine: MbfEngine<A>,
-    dense_engine: DenseEngine<A>,
+    dense_engine: DenseEngine,
+    /// The matrix-mode hop's shadow rows.
+    dense_scratch: DenseScratch<A::S>,
     /// The sparse store (authoritative in [`ReprMode::Sparse`]; zeroed
     /// in matrix mode so its heap buffers are released).
     states: Vec<A::M>,
@@ -667,6 +703,7 @@ where
             mode: ReprMode::Sparse,
             sparse_engine,
             dense_engine,
+            dense_scratch: DenseScratch::default(),
             states,
             block: DenseBlock::new(0, 0),
             row_len,
@@ -846,9 +883,13 @@ where
                 (work, changed)
             }
             ReprMode::Matrix => {
-                let (work, changed) = self
-                    .dense_engine
-                    .step(alg, g, &mut self.block, weight_scale);
+                let (work, changed) = self.dense_engine.step(
+                    alg,
+                    g,
+                    &mut self.block,
+                    &mut self.dense_scratch,
+                    weight_scale,
+                );
                 self.changed_scratch.clear();
                 self.dense_engine
                     .drain_change_log(&mut self.changed_scratch);
@@ -926,7 +967,6 @@ mod aggregate {
 
     /// The dense oracle's aggregate: `x` as a block, the shadow block the
     /// aggregation folds into, and the `⊥` row that lanes project onto.
-    #[derive(Clone)]
     pub struct DenseAggregate {
         pub(super) block: DenseBlock<MinPlus>,
         pub(super) shadow: Vec<MinPlus>,
@@ -960,7 +1000,7 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    engine: DenseEngine<A>,
+    engine: DenseEngine,
     y: DenseBlock<A::S>,
     acc: Vec<A::S>,
 }
@@ -972,6 +1012,7 @@ where
 {
     type X = DenseAggregate;
     type Staged = ();
+    type Scratch = DenseScratch<MinPlus>;
 
     fn new(alg: &A, strategy: EngineStrategy, n: usize) -> Self {
         assert!(
@@ -1020,8 +1061,14 @@ where
         }
     }
 
-    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.y, scale)
+    fn hop(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        scratch: &mut DenseScratch<MinPlus>,
+        scale: f64,
+    ) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.y, scratch, scale)
     }
 
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
@@ -1057,6 +1104,12 @@ where
             let a = v as usize * k;
             x.block.row_mut(v).copy_from_slice(&x.shadow[a..a + k]);
         }
+    }
+
+    /// Reads the block rows alone: the aggregation's shadow block is
+    /// never copied.
+    fn capture(x: &DenseAggregate) -> Vec<A::M> {
+        x.block.export()
     }
 }
 
@@ -1103,11 +1156,12 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
         let mut block = initial_block(&alg, g.n());
         let mut engine = DenseEngine::new(EngineStrategy::Frontier);
-        let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
+        let scratch = &mut DenseScratch::default();
+        let (_, changed) = engine.step(&alg, &g, &mut block, scratch, 1.0);
         assert!(changed);
         let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
         loop {
-            let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
+            let (_, changed) = engine.step(&alg, &g, &mut block, scratch, 1.0);
             if !changed {
                 break;
             }

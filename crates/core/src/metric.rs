@@ -82,11 +82,14 @@ pub fn approximate_metric(
     approximate_metric_on(&sim, config)
 }
 
-/// Byte budget for the dense oracle's blocks. It keeps ~2(Λ+2) full
-/// `n × n` blocks live (per-level vector + engine shadow, the
-/// aggregate, and its scratch) — a Λ× footprint over the sparse
-/// oracle's per-level state lists — so instances above it stay on the
-/// owned sparse route instead of trading speed for an OOM.
+/// Byte budget for the dense oracle's blocks. A run keeps Λ+1 per-level
+/// `n × n` blocks, the aggregate and its fold shadow live, plus one
+/// engine shadow per level task in flight — at most one per pool
+/// thread. The estimate below charges one shadow per level, the
+/// thread-count-independent bound (2Λ+4 blocks in total), so routing
+/// never depends on `MTE_THREADS`. That is a Λ× footprint over the
+/// sparse oracle's per-level state lists, so instances above the budget
+/// stay on the owned sparse route instead of trading speed for an OOM.
 const DENSE_ORACLE_BYTE_BUDGET: usize = 4 << 30; // 4 GiB
 
 /// As [`approximate_metric`], on a pre-built simulated graph.

@@ -17,7 +17,9 @@
 //! One loop, `oracle_loop`, runs every backend: the round schedule, the
 //! level fan-out, each level's `d`-hop loop, the aggregation and the
 //! fixpoint test. A backend supplies only a per-level **lane**: the
-//! buffer `y_λ` and the engine that hops it. Lanes differ only in
+//! buffer `y_λ` and the engine that hops it, plus the type of the
+//! hop-lifetime scratch its hops write (the arena lane's chunk append
+//! regions, the dense lane's `n × k` shadow rows). Lanes differ only in
 //! storage — a `Vec<M>` ([`LevelScratch`]), an epoch-pool lane
 //! ([`crate::arena::ArenaLevel`], the FRT path), or dense rows
 //! ([`crate::dense::DenseLevel`], the metric path) — and the lane is the
@@ -105,7 +107,12 @@
 //! The `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x` are mutually
 //! independent — they all read the same input vector `x` — so the level
 //! loop runs **in parallel** (one task per level, each with its own
-//! lane, reused across simulated `H`-iterations). The aggregation
+//! lane, reused across simulated `H`-iterations). A hop's scratch is
+//! not part of a lane: each level task checks one out of the run's
+//! `ScratchPool` at its start and gives it back at its end, so a run
+//! keeps at most one scratch per worker thread instead of one per level,
+//! and since no hop reads what an earlier hop left in its scratch, which
+//! scratch a level gets changes no output. The aggregation
 //! `⊕_λ P_λ y_λ` then runs parallel over *vertices*, each folding its
 //! level contributions in ascending-`λ` order — a fixed combination
 //! order independent of the thread count, so oracle outputs are
@@ -122,6 +129,7 @@ use mte_algebra::store::StoreStats;
 use mte_algebra::{MinPlus, NodeId, Semimodule};
 use mte_graph::Graph;
 use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// Result of an oracle computation: the states `A^h(H)` and the cost of
 /// simulating them on `G'`.
@@ -149,10 +157,14 @@ mod sealed {
     /// [`oracle_loop`] is the rest.
     pub trait Lane<A: MbfAlgorithm>: Send + Sync + Sized {
         /// The aggregate `x`, as the backend stores it, converting from
-        /// and to the plain states (a clone is one checkpoint capture).
-        type X: From<Vec<A::M>> + Into<Vec<A::M>> + Clone + Sync;
+        /// and to the plain states.
+        type X: From<Vec<A::M>> + Into<Vec<A::M>> + Sync;
         /// A changed `x[v]`, staged by the fold until the round commits.
         type Staged: Send;
+        /// The buffers one hop writes and discards. A hop must never read
+        /// what an earlier hop left here: the oracle hands each level
+        /// task whichever scratch its pool has free.
+        type Scratch: Default + Send;
 
         /// A lane of `n` slots, all `⊥`. Panics if `alg` cannot run on
         /// this lane (a dense lane of an algorithm without dense states).
@@ -167,9 +179,16 @@ mod sealed {
         fn poison(&mut self, alg: &A);
         /// Seeds the engine with every vertex (`None`) or exactly `seeds`.
         fn mark_dirty(&mut self, g: &Graph, seeds: Option<&[NodeId]>);
-        /// One filtered hop `y ← r^V A_λ y`, edge weights times `scale`:
-        /// the work spent and whether any slot changed.
-        fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
+        /// One filtered hop `y ← r^V A_λ y`, edge weights times `scale`,
+        /// on the checked-out `scratch`: the work spent and whether any
+        /// slot changed.
+        fn hop(
+            &mut self,
+            alg: &A,
+            g: &Graph,
+            scratch: &mut Self::Scratch,
+            scale: f64,
+        ) -> (WorkStats, bool);
         /// Appends the slots the hops changed since the last drain.
         fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
         /// Storage counters, charging the start-state rewrite and the
@@ -188,6 +207,9 @@ mod sealed {
         ) -> impl Fn(&[Level<Self>], NodeId) -> Option<Self::Staged> + Sync + 'a;
         /// Writes the staged values into `x`.
         fn commit(x: &mut Self::X, staged: Vec<(NodeId, Self::Staged)>);
+        /// The plain states of `x`, read in place: one checkpoint
+        /// capture.
+        fn capture(x: &Self::X) -> Vec<A::M>;
     }
 
     /// A lane and its carry-over bookkeeping.
@@ -214,6 +236,49 @@ pub(crate) fn fresh_levels<A: MbfAlgorithm, L: Lane<A>>(
         .collect()
 }
 
+/// The hop scratch of one oracle run, shared by its levels: a level
+/// task checks a scratch out at its start and gives it back at its end.
+/// A thread runs one level task at a time, so the pool never holds more
+/// scratches than the run's pool has threads — not one per level.
+pub(crate) struct ScratchPool<S>(Mutex<Vec<S>>);
+
+impl<S: Default> ScratchPool<S> {
+    /// An empty pool: checkouts create scratches on demand.
+    pub(crate) fn new() -> Self {
+        ScratchPool(Mutex::new(Vec::new()))
+    }
+
+    /// A free scratch, or a fresh one if none is free.
+    fn checkout(&self) -> S {
+        self.free().pop().unwrap_or_default()
+    }
+
+    /// Returns a scratch for the next level task to reuse.
+    fn give_back(&self, scratch: S) {
+        self.free().push(scratch);
+    }
+
+    /// A pool whose first checkouts hand out `scratches`.
+    #[cfg(test)]
+    pub(crate) fn with(scratches: Vec<S>) -> Self {
+        ScratchPool(Mutex::new(scratches))
+    }
+
+    /// Scratches the pool holds: every one a run created, minus those
+    /// dropped by panicking level tasks.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.free().len()
+    }
+
+    /// The free list. A level task that panics drops its scratch
+    /// instead of returning it, and never holds the lock while it runs,
+    /// so a poisoned lock still guards a consistent list.
+    fn free(&self) -> std::sync::MutexGuard<'_, Vec<S>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The owned oracle lane: `y_λ` as a `Vec<M>`, stepped by an
 /// [`MbfEngine`]. The semantics reference, and the lane of
 /// [`oracle_run_to_fixpoint`] and [`oracle_iteration`].
@@ -228,6 +293,8 @@ pub struct LevelScratch<A: MbfAlgorithm> {
 impl<A: MbfAlgorithm> Lane<A> for LevelScratch<A> {
     type X = Vec<A::M>;
     type Staged = A::M;
+    /// The owned engine keeps its shadow states itself.
+    type Scratch = ();
 
     fn new(_: &A, strategy: EngineStrategy, n: usize) -> Self {
         let mut engine = MbfEngine::new(strategy);
@@ -276,7 +343,7 @@ impl<A: MbfAlgorithm> Lane<A> for LevelScratch<A> {
         }
     }
 
-    fn hop(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+    fn hop(&mut self, alg: &A, g: &Graph, _: &mut (), scale: f64) -> (WorkStats, bool) {
         self.engine.step(alg, g, &mut self.y, scale)
     }
 
@@ -303,6 +370,10 @@ impl<A: MbfAlgorithm> Lane<A> for LevelScratch<A> {
         for (v, m) in staged {
             x[v as usize] = m;
         }
+    }
+
+    fn capture(x: &Self::X) -> Vec<A::M> {
+        x.clone()
     }
 }
 
@@ -475,8 +546,9 @@ fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) 
 
 /// The oracle's fixpoint loop, shared by every lane type and entry
 /// point: iterates from `states` (already past `executed` simulated
-/// iterations) up to `h` in total, calling `on_round(round, x)` after
-/// every round that changed something. Resuming from a recorded
+/// iterations) up to `h` in total, with every hop on a scratch checked
+/// out of `scratch`, calling `on_round(round, x)` after every round that
+/// changed something. Resuming from a recorded
 /// `(states, executed)` pair on [`fresh_levels`] is bit-identical to the
 /// uninterrupted run: an unprimed level rewrites wholesale on its first
 /// round, which the carry-over schedules already prove equivalent to
@@ -488,6 +560,7 @@ pub(crate) fn oracle_loop<A, L>(
     h: usize,
     carry_over: bool,
     levels: &mut [Level<L>],
+    scratch: &ScratchPool<L::Scratch>,
     states: Vec<A::M>,
     mut executed: usize,
     mut on_round: impl FnMut(usize, &L::X) -> Result<(), RunError>,
@@ -518,6 +591,7 @@ where
             .enumerate()
             .map(|(lambda, Level { lane, carry })| {
                 let lambda = lambda as u32;
+                let mut hop_scratch = scratch.checkout();
                 // Fault-injection site: one level task fails (`panic`) or
                 // corrupts its lane (`poison_nan`) while the sibling
                 // levels keep running.
@@ -569,7 +643,7 @@ where
                 let scale = sim.level_scale(lambda);
                 let mut closed = false;
                 for _ in 0..sim.d() {
-                    let (w, changed) = lane.hop(alg, g, scale);
+                    let (w, changed) = lane.hop(alg, g, &mut hop_scratch, scale);
                     work += w;
                     if !changed {
                         closed = true;
@@ -579,6 +653,7 @@ where
                 // Record what this round moved, for the next round's diff
                 // and this round's aggregation: rewrites plus hop changes.
                 carry.finish(start, closed, |moved| lane.drain_change_log(moved));
+                scratch.give_back(hop_scratch);
                 work
             })
             .reduce(WorkStats::new, |mut a, b| {
@@ -646,7 +721,18 @@ where
     L: Lane<A>,
 {
     let levels = &mut fresh_levels::<A, L>(alg, sim, strategy);
-    match oracle_loop(alg, sim, h, carry_over, levels, states, 0, |_, _| Ok(())) {
+    let scratch = &ScratchPool::new();
+    match oracle_loop(
+        alg,
+        sim,
+        h,
+        carry_over,
+        levels,
+        scratch,
+        states,
+        0,
+        |_, _| Ok(()),
+    ) {
         Ok(run) => run,
         Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
     }
@@ -855,7 +941,11 @@ mod tests {
         let mut levels = fresh_levels::<_, LevelScratch<_>>(&alg, &sim, EngineStrategy::Frontier);
         assert!(levels.iter().all(|l| !l.carry.closed && !l.carry.primed));
         let x = initial_states(&alg, g.n());
-        oracle_loop(&alg, &sim, 1, true, &mut levels, x, 0, |_, _| Ok(())).unwrap();
+        let scratch = &ScratchPool::new();
+        oracle_loop(&alg, &sim, 1, true, &mut levels, scratch, x, 0, |_, _| {
+            Ok(())
+        })
+        .unwrap();
         assert!(levels.iter().all(|l| l.carry.closed));
     }
 
@@ -888,15 +978,45 @@ mod tests {
         match kind {
             Kind::Owned => {
                 let levels = &mut fresh_levels::<_, LevelScratch<_>>(alg, sim, s);
-                oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
+                oracle_loop(
+                    alg,
+                    sim,
+                    h,
+                    true,
+                    levels,
+                    &ScratchPool::new(),
+                    x,
+                    0,
+                    |r, _| hook(r),
+                )
             }
             Kind::Arena => {
                 let levels = &mut fresh_levels::<_, ArenaLevel>(alg, sim, s);
-                oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
+                oracle_loop(
+                    alg,
+                    sim,
+                    h,
+                    true,
+                    levels,
+                    &ScratchPool::new(),
+                    x,
+                    0,
+                    |r, _| hook(r),
+                )
             }
             Kind::Dense => {
                 let levels = &mut fresh_levels::<_, DenseLevel<_>>(alg, sim, s);
-                oracle_loop(alg, sim, h, true, levels, x, 0, |r, _| hook(r))
+                oracle_loop(
+                    alg,
+                    sim,
+                    h,
+                    true,
+                    levels,
+                    &ScratchPool::new(),
+                    x,
+                    0,
+                    |r, _| hook(r),
+                )
             }
         }
         .unwrap()
@@ -971,6 +1091,113 @@ mod tests {
         assert_eq!(walked, [1, 2, 5, 7, 9]);
         assert_eq!(carry.seeds, [5]);
         assert_eq!(aggregation_set([&carry].into_iter()), Some(vec![1, 7, 9]));
+    }
+
+    /// A carry-over fixpoint run of lane `L` on `pool`'s scratches,
+    /// under a dedicated pool of `threads` threads.
+    fn run_on_pool<A, L>(
+        alg: &A,
+        sim: &SimulatedGraph,
+        pool: &ScratchPool<L::Scratch>,
+        threads: usize,
+    ) -> OracleRun<A::M>
+    where
+        A: MbfAlgorithm<S = MinPlus>,
+        L: Lane<A>,
+    {
+        let n = sim.augmented().n();
+        let levels = &mut fresh_levels::<A, L>(alg, sim, EngineStrategy::Frontier);
+        let x = initial_states(alg, n);
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool build cannot fail")
+            .install(|| oracle_loop(alg, sim, 4 * n, true, levels, pool, x, 0, |_, _| Ok(())))
+            .unwrap()
+    }
+
+    /// Asserts that runs on junk-filled scratches equal runs on fresh
+    /// ones, field by field, under 1 and 4 threads.
+    fn assert_scratch_is_never_read<A, L>(
+        alg: &A,
+        sim: &SimulatedGraph,
+        junk: impl Fn() -> L::Scratch,
+    ) where
+        A: MbfAlgorithm<S = MinPlus>,
+        L: Lane<A>,
+    {
+        let lanes = sim.levels().lambda() as usize + 1;
+        for threads in [1usize, 4] {
+            let fresh = run_on_pool::<A, L>(alg, sim, &ScratchPool::new(), threads);
+            assert!(fresh.fixpoint, "t={threads}");
+            // Every checkout finds junk: one per level is more than the
+            // level tasks in flight.
+            let junk_pool = ScratchPool::with((0..lanes).map(|_| junk()).collect());
+            let stale = run_on_pool::<A, L>(alg, sim, &junk_pool, threads);
+            assert_eq!(stale.states, fresh.states, "t={threads}");
+            assert_eq!(stale.h_iterations, fresh.h_iterations, "t={threads}");
+            assert_eq!(stale.fixpoint, fresh.fixpoint, "t={threads}");
+            assert_eq!(stale.work, fresh.work, "t={threads}");
+            assert_eq!(junk_pool.len(), lanes, "t={threads}: a scratch was lost");
+        }
+    }
+
+    /// A fixture whose levels never close within `d = 2` hops: rounds
+    /// start from the projection diff on top of a residual frontier, so
+    /// a hop's first frontier vertices may have no dirty neighbour (the
+    /// dense engine's write-nothing path) on a scratch another level
+    /// wrote last.
+    fn hop_limited_fixture() -> (mte_graph::Graph, SimulatedGraph) {
+        let mut rng = StdRng::seed_from_u64(29);
+        let g = gnm_graph(160, 480, 1.0..6.0, &mut rng);
+        let sim = SimulatedGraph::without_hopset(&g, 2, 0.15, &mut rng);
+        (g, sim)
+    }
+
+    #[test]
+    fn stale_scratch_contents_are_never_read() {
+        use crate::arena::{ArenaLevel, ArenaScratch};
+        use crate::dense::{DenseLevel, DenseScratch};
+        use crate::frt::le_list::{LeListAlgorithm, Ranks};
+        use std::sync::Arc;
+
+        for (g, sim) in [closing_fixture(), hop_limited_fixture()] {
+            let n = sim.augmented().n();
+            let ranks = Arc::new(Ranks::sample(n, &mut StdRng::seed_from_u64(27)));
+            let le = LeListAlgorithm::new(ranks);
+            assert_scratch_is_never_read::<_, ArenaLevel>(&le, &sim, || ArenaScratch::junk(n));
+            let apsp = SourceDetection::apsp(g.n());
+            assert_scratch_is_never_read::<_, ArenaLevel>(&apsp, &sim, || ArenaScratch::junk(n));
+            let junk = || DenseScratch::junk(n);
+            assert_scratch_is_never_read::<_, DenseLevel<_>>(&apsp, &sim, junk);
+        }
+    }
+
+    #[test]
+    fn checkout_pool_holds_at_most_one_scratch_per_thread() {
+        use crate::arena::ArenaLevel;
+        use crate::dense::DenseLevel;
+
+        let (g, sim) = hop_limited_fixture();
+        let lanes = sim.levels().lambda() as usize + 1;
+        assert!(lanes > 4, "{lanes} levels cannot exceed the 4-thread bound");
+        let alg = SourceDetection::apsp(g.n());
+        for threads in [1usize, 4] {
+            let pool = ScratchPool::new();
+            run_on_pool::<_, ArenaLevel>(&alg, &sim, &pool, threads);
+            assert!(
+                (1..=threads).contains(&pool.len()),
+                "arena t={threads}: {}",
+                pool.len()
+            );
+            let pool = ScratchPool::new();
+            run_on_pool::<_, DenseLevel<_>>(&alg, &sim, &pool, threads);
+            assert!(
+                (1..=threads).contains(&pool.len()),
+                "dense t={threads}: {}",
+                pool.len()
+            );
+        }
     }
 
     #[test]

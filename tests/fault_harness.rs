@@ -742,6 +742,77 @@ fn snapshot_faults_error_typed_or_leave_output_bit_identical() {
     }
 }
 
+/// The supervisor ladder over the snapshot round trip: the primary
+/// attempt captures every hop through encode → decode, a retry resumes
+/// from the last checkpoint that decoded (fresh if none did), and the
+/// scratch rung reruns without capturing.
+fn supervised_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
+    let alg = SourceDetection::k_ssp(g.n(), 4);
+    let cap = g.n() + 1;
+    let strategy = EngineStrategy::default();
+    let last_good: Mutex<Option<Checkpoint<DistanceMap>>> = Mutex::new(None);
+    Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
+        let from = match attempt {
+            RecoveryAttempt::Primary => None,
+            RecoveryAttempt::RetryFromCheckpoint { .. } => last_good.lock().unwrap().clone(),
+            RecoveryAttempt::Scratch => {
+                return try_owned(&alg, g, cap).map(|(run, report)| (run.states, report));
+            }
+        };
+        let every1 = CheckpointPolicy::every(1);
+        try_run_checkpointed_with(&alg, g, cap, strategy, from.as_ref(), every1, |ckpt| {
+            let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
+            let decoded = SnapshotReader::decode(&image)
+                .and_then(|r| r.checkpoint())
+                .map_err(|e| RunError::SnapshotCorrupt {
+                    detail: e.to_string(),
+                })?;
+            *last_good.lock().unwrap() = Some(decoded);
+            Ok(())
+        })
+        .map(|(run, report)| (run.states, report))
+    })
+}
+
+/// The pre-armed entry point for the recovery job: when
+/// `MTE_FAULT_PLAN` is set, its plan is installed explicitly (the guard
+/// clears whatever the environment armed before any run reads it) over
+/// the checkpointed snapshot round trip and the supervisor ladder, and
+/// every run either errors typed or ends bit-identical to its clean
+/// run. Without the variable there is nothing to check.
+#[test]
+fn recovery_under_the_pre_armed_env_plan_errors_typed_or_matches_clean() {
+    let Some(plan) = FaultPlan::from_env() else {
+        return;
+    };
+    let _guard = FaultGuard::acquire();
+    let g = fixture_graph();
+    let (clean, _) = checkpointed_roundtrip_run(&g).expect("clean checkpointed run");
+    type Pipeline = fn(&Graph) -> Result<(Vec<DistanceMap>, RunReport), RunError>;
+    let pipelines: [(&str, Pipeline); 2] = [
+        ("snapshot round trip", checkpointed_roundtrip_run),
+        ("supervisor ladder", supervised_roundtrip_run),
+    ];
+    for (name, pipeline) in pipelines {
+        for threads in [1usize, 4] {
+            faults::install(plan.clone());
+            let g = &g;
+            let outcome = with_threads(threads, move || pipeline(g));
+            faults::clear();
+            let at = format!("{name}/t={threads}");
+            match outcome {
+                Err(RunError::InjectedFault { .. })
+                | Err(RunError::Panicked { .. })
+                | Err(RunError::SnapshotCorrupt { .. })
+                | Err(RunError::CorruptState { .. })
+                | Err(RunError::RetriesExhausted { .. }) => {}
+                Err(other) => panic!("{at}: unexpected error class {other:?}"),
+                Ok((states, _)) => assert_eq!(states, clean, "{at}: Ok run diverged"),
+            }
+        }
+    }
+}
+
 /// The supervisor's retry rung: a one-shot engine fault kills the
 /// primary attempt after checkpoints were captured; the retry resumes
 /// from the last good checkpoint and must reproduce the clean run bit

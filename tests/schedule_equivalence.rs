@@ -11,6 +11,7 @@
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
     initial_store, run_to_fixpoint_arena_with, ArenaEngine, ArenaLevel, ArenaMbfAlgorithm,
+    ArenaScratch,
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
 use metric_tree_embedding::core::dense::{
@@ -648,14 +649,15 @@ fn semi_naive_le_hops_match_owned_and_full_scan_hop_for_hop() {
             let mut full_store = initial_store(&alg, g.n());
             let mut full = ArenaEngine::new(strategy);
             full.mark_all_dirty(g);
+            let scratch = &mut ArenaScratch::default();
             let mut converged = false;
             for hop in 0..=g.n() {
                 // Seeding nothing still resets the masks: this engine
                 // reads every dirty neighbor's whole list.
                 full.mark_dirty(g, std::iter::empty());
                 let (wo, co) = owned.step(&alg, g, &mut owned_states, 1.0);
-                let (wm, cm) = masked.step(&alg, g, &mut masked_store, 1.0);
-                let (wf, cf) = full.step(&alg, g, &mut full_store, 1.0);
+                let (wm, cm) = masked.step(&alg, g, &mut masked_store, scratch, 1.0);
+                let (wf, cf) = full.step(&alg, g, &mut full_store, scratch, 1.0);
                 let at = format!("{name}/{strategy:?}/hop {hop}");
                 assert_eq!(masked_store.export(), owned_states, "{at}: masked vs owned");
                 assert_eq!(full_store.export(), owned_states, "{at}: full vs owned");
@@ -1022,6 +1024,7 @@ proptest! {
         let mut store = initial_store(&alg, g.n());
         let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
         engine.mark_all_dirty(&g);
+        let scratch = &mut ArenaScratch::default();
 
         let mut salt = seed | 1;
         for round in 0..rounds {
@@ -1044,7 +1047,7 @@ proptest! {
             }
             for _ in 0..=(salt % 3) as usize {
                 let (_, c_owned) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-                let (_, c_arena) = engine.step(&alg, &g, &mut store, 1.0);
+                let (_, c_arena) = engine.step(&alg, &g, &mut store, scratch, 1.0);
                 prop_assert_eq!(c_owned, c_arena);
             }
             prop_assert_eq!(&store.export(), &owned_states);
@@ -1052,7 +1055,7 @@ proptest! {
         // Drive both to the fixpoint and compare once more.
         for _ in 0..2 * g.n() + 4 {
             let (_, c_owned) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-            let (_, c_arena) = engine.step(&alg, &g, &mut store, 1.0);
+            let (_, c_arena) = engine.step(&alg, &g, &mut store, scratch, 1.0);
             prop_assert_eq!(c_owned, c_arena);
             if !c_owned {
                 break;
